@@ -10,7 +10,7 @@
 // Shape: one event-loop thread multiplexes the listen socket and every
 // connection (edge-ish via EPOLLONESHOT) and hands ready connections to a
 // small worker pool. A connection processes its requests strictly in
-// order — wire-v2 clients may keep many requests in flight (pipelining),
+// order — clients may keep many requests in flight (pipelining),
 // but responses are executed and answered in arrival order, each tagged
 // with its request's correlation id — so per-connection state needs no
 // locking: a connection is owned either by the epoll set or by exactly
@@ -97,9 +97,9 @@ struct ServerOptions {
   /// of growing the connection's buffer without limit.
   uint64_t max_buffered_bytes = 0;
 
-  /// Byte budget for the combiner-aware cache push: when a wire-v2 client
-  /// asks (`want_push`), a Publish ack carries the combined publish's
-  /// staged batch — merged index pages and commit objects, the nodes a
+  /// Byte budget for the combiner-aware cache push: when a client asks
+  /// (`want_push`), a Publish ack carries the combined publish's staged
+  /// batch — merged index pages and commit objects, the nodes a
   /// losing committer re-reads next round — up to this many node bytes
   /// (0 disables the push server-wide). Records are dropped from the
   /// push, never from the publish: the cap shapes ack size only.
@@ -179,9 +179,10 @@ class SiriServer {
         : fd(fd_in), decoder(max_frame), last_activity_ms(now_ms) {}
     int fd;
     FrameDecoder decoder;  // touched only by the owning worker
-    /// Negotiated at this connection's Hello (net/wire.h); 1 until then.
-    /// Touched only by the owning worker, like the decoder.
-    uint32_t wire_version = 1;
+    /// Set once this connection's Hello is accepted; until then a
+    /// bad-frame reject takes the id-less Hello response shape
+    /// (net/wire.h). Touched only by the owning worker, like the decoder.
+    bool hello_done = false;
     /// Wall of the connection's last traffic, for the idle sweep.
     std::atomic<int64_t> last_activity_ms;
     /// True from the moment the event loop queues the fd for a worker
@@ -202,10 +203,8 @@ class SiriServer {
   /// while DiskHealth() reports a sticky fault; reads pass through. The
   /// very request that *trips* the fault gets its raw store error
   /// remapped to the same typed reject, so clients see one error shape.
-  void Execute(const Request& req, Connection* conn, Status* app,
-               std::string* body);
-  void ExecuteOp(const Request& req, Connection* conn, Status* app,
-                 std::string* body);
+  void Execute(const Request& req, Status* app, std::string* body);
+  void ExecuteOp(const Request& req, Status* app, std::string* body);
   /// The sticky disk health across everything the servlet persists: the
   /// node store first, then the attached ref log (if any).
   Status DiskHealth() const;

@@ -76,16 +76,9 @@ Result<int> DialOnce(const std::string& host, int port) {
 
 /// Handshake failures worth re-dialing for: the wire broke (IO) or the
 /// server is shedding load (ResourceExhausted). Typed application rejects
-/// — an unservable version above all — are deterministic and fail fast.
+/// — a version mismatch above all — are deterministic and fail fast.
 bool RetriableHandshake(const Status& s) {
   return s.code() == Status::Code::kIOError || s.IsResourceExhausted();
-}
-
-/// A pre-negotiation server's Hello reject: it could not serve the
-/// advertised version but is still listening — worth one downgrade retry.
-bool IsVersionMismatchReject(const Status& s) {
-  return s.IsInvalidArgument() &&
-         s.message().find("wire version mismatch") != std::string::npos;
 }
 
 }  // namespace
@@ -151,11 +144,6 @@ void SocketTransport::SetPushSink(PushSink sink) {
   push_sink_ = std::move(sink);
 }
 
-uint32_t SocketTransport::negotiated_wire_version() const {
-  MutexLock lock(mu_);
-  return wire_version_;
-}
-
 void SocketTransport::CloseLocked() {
   if (fd_ >= 0) {
     close(fd_);
@@ -180,11 +168,6 @@ SocketTransport::TimePoint SocketTransport::DeadlineFromNow() const {
   if (opts_.rpc_timeout_ms <= 0) return TimePoint::max();
   return std::chrono::steady_clock::now() +
          std::chrono::milliseconds(opts_.rpc_timeout_ms);
-}
-
-int SocketTransport::EffectiveMaxInflightLocked() const {
-  if (wire_version_ < 2) return 1;  // no correlation ids on the wire
-  return std::max(1, opts_.max_inflight);
 }
 
 Status SocketTransport::PollUnlocked(MutexLock& lock, int fd, short events,
@@ -267,17 +250,16 @@ Status SocketTransport::SendFrameLocked(MutexLock& lock,
 void SocketTransport::HandleDeadlineMissLocked(PendingRpc* self) {
   deadline_misses_.fetch_add(1, std::memory_order_relaxed);
   const Status miss = DeadlineError(opts_.rpc_timeout_ms);
-  if (wire_version_ >= 2 && self->sent_fully && fd_ >= 0) {
-    // v2: the request is whole on the wire and the response stream is
-    // framed per correlation id — abandon just this id. The owner
-    // deregisters it on exit, so the late response is discarded on
-    // arrival; every other in-flight RPC keeps its healthy connection.
+  if (self->sent_fully && fd_ >= 0) {
+    // The request is whole on the wire and the response stream is framed
+    // per correlation id — abandon just this id. The owner deregisters it
+    // on exit, so the late response is discarded on arrival; every other
+    // in-flight RPC keeps its healthy connection.
     self->failed = true;
     self->error = miss;
     return;
   }
-  // v1 (no ids: the next response on the stream would be misattributed)
-  // or a mid-send miss (torn frame): the stream cannot be resynced.
+  // A mid-send miss (torn frame): the stream cannot be resynced.
   CloseAndFailAllLocked(miss);
 }
 
@@ -299,10 +281,18 @@ void SocketTransport::ReadLoopLocked(MutexLock& lock, PendingRpc* self,
       Status app;
       std::string body;
       uint64_t corr = 0;
-      Status dec = DecodeResponse(payload, &app, &body, wire_version_, &corr);
+      Status dec = DecodeResponse(payload, &app, &body, &corr);
       if (!dec.ok()) {
         // The response itself is garbage: the stream cannot be trusted.
         CloseAndFailAllLocked(dec);
+        return;
+      }
+      if (corr == 0 && IsBadFrameReject(app)) {
+        // The server's connection-wide frame reject (net/wire.h): it
+        // executes frames in order, stopped at the bad one, and flushed
+        // every earlier response first, so nothing still pending ran.
+        // CallOnce classifies an RPC failed with this status not executed.
+        CloseAndFailAllLocked(app);
         return;
       }
       auto it = pending_.find(corr);
@@ -383,114 +373,80 @@ Status SocketTransport::ReadHandshakeResponseLocked(MutexLock& lock,
 }
 
 Status SocketTransport::HandshakeLocked(MutexLock& lock) {
-  // The Hello exchange is always v1-shaped: it happens before the
-  // version is known (net/wire.h). Exclusive access to the connection is
-  // guaranteed by connecting_, so no pending/corr machinery is involved.
-  wire_version_ = 1;
-  uint32_t advertise = kWireVersion;
-  for (int round = 0; round < 2; ++round) {
-    rpcs_.fetch_add(1, std::memory_order_relaxed);
-    FaultAction fault;
-    if (opts_.fault) fault = opts_.fault->Next();
-    const TimePoint deadline = DeadlineFromNow();
+  // Exclusive access to the connection is guaranteed by connecting_, so
+  // no pending/corr machinery is involved.
+  rpcs_.fetch_add(1, std::memory_order_relaxed);
+  FaultAction fault;
+  if (opts_.fault) fault = opts_.fault->Next();
+  const TimePoint deadline = DeadlineFromNow();
 
-    if (fault.kind == FaultKind::kResetBeforeSend) {
-      CloseLocked();
-      return Status::IOError("injected fault: connection reset before send");
-    }
-    if (fault.kind == FaultKind::kDelaySend) {
-      SleepUnlocked(lock, fault.delay_micros);
-      if (fd_ < 0) return Status::IOError("connection reset during handshake");
-    }
-
-    Request hello;
-    hello.type = MsgType::kHello;
-    hello.version = advertise;
-    std::string frame = EncodeFrame(EncodeRequest(hello, /*wire_version=*/1));
-    if (fault.kind == FaultKind::kCorruptFrame) {
-      frame.back() = static_cast<char>(frame.back() ^ 0x01);
-    }
-    if (fault.kind == FaultKind::kShortWrite) {
-      const size_t limit =
-          fault.short_write_offset == UINT64_MAX
-              ? frame.size() / 2
-              : std::min<size_t>(fault.short_write_offset, frame.size());
-      (void)SendFrameLocked(lock, frame, limit, deadline);
-      CloseLocked();
-      return Status::IOError("injected fault: short write");
-    }
-
-    Status sent = SendFrameLocked(lock, frame, frame.size(), deadline);
-    if (!sent.ok()) {
-      if (IsDeadlineError(sent)) {
-        deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-      }
-      CloseLocked();
-      return sent;
-    }
-    if (fault.kind == FaultKind::kResetAfterSend) {
-      CloseLocked();
-      return Status::IOError("injected fault: connection reset after send");
-    }
-    if (fault.kind == FaultKind::kDelayRecv) {
-      SleepUnlocked(lock, fault.delay_micros);
-      if (fd_ < 0) return Status::IOError("connection reset during handshake");
-    }
-
-    std::string payload;
-    Status read = ReadHandshakeResponseLocked(lock, &payload, deadline);
-    if (!read.ok()) {
-      if (IsDeadlineError(read)) {
-        deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-      }
-      CloseLocked();
-      return read;
-    }
-    Status app;
-    std::string body;
-    Status decoded = DecodeResponse(payload, &app, &body, /*wire_version=*/1);
-    if (!decoded.ok()) {
-      CloseLocked();
-      return decoded;
-    }
-    if (!app.ok()) {
-      if (IsVersionMismatchReject(app) && advertise > kMinWireVersion) {
-        // A pre-negotiation server rejects any version but its own — and
-        // keeps the connection open after the typed reject. Downgrade to
-        // the floor and offer again (one more wire attempt).
-        advertise = kMinWireVersion;
-        continue;
-      }
-      CloseLocked();
-      return app;
-    }
-    // Negotiate: the response body carries the server's verdict as a
-    // varint — a negotiating server answers min(client, server); a
-    // pre-negotiation server echoes its own (single) version, which
-    // taking the min handles identically. An empty body is an ancient
-    // peer: treat as v1.
-    uint64_t server_version = 1;
-    if (!body.empty()) {
-      Slice in(body);
-      if (!GetVarint64(&in, &server_version) || !in.empty() ||
-          server_version == 0 || server_version > UINT32_MAX) {
-        CloseLocked();
-        return Status::Corruption("malformed hello response body");
-      }
-    }
-    wire_version_ = NegotiateWireVersion(
-        advertise, static_cast<uint32_t>(server_version));
-    if (wire_version_ < kMinWireVersion) {
-      CloseLocked();
-      return Status::InvalidArgument(
-          "wire version mismatch: negotiated v" +
-          std::to_string(wire_version_) + ", client floor v" +
-          std::to_string(kMinWireVersion));
-    }
-    return Status::OK();
+  if (fault.kind == FaultKind::kResetBeforeSend) {
+    CloseLocked();
+    return Status::IOError("injected fault: connection reset before send");
   }
-  CloseLocked();
-  return Status::InvalidArgument("wire version negotiation failed");
+  if (fault.kind == FaultKind::kDelaySend) {
+    SleepUnlocked(lock, fault.delay_micros);
+    if (fd_ < 0) return Status::IOError("connection reset during handshake");
+  }
+
+  Request hello;
+  hello.type = MsgType::kHello;
+  hello.version = kWireVersion;
+  std::string frame = EncodeFrame(EncodeRequest(hello));
+  if (fault.kind == FaultKind::kCorruptFrame) {
+    frame.back() = static_cast<char>(frame.back() ^ 0x01);
+  }
+  if (fault.kind == FaultKind::kShortWrite) {
+    const size_t limit =
+        fault.short_write_offset == UINT64_MAX
+            ? frame.size() / 2
+            : std::min<size_t>(fault.short_write_offset, frame.size());
+    (void)SendFrameLocked(lock, frame, limit, deadline);
+    CloseLocked();
+    return Status::IOError("injected fault: short write");
+  }
+
+  Status sent = SendFrameLocked(lock, frame, frame.size(), deadline);
+  if (!sent.ok()) {
+    if (IsDeadlineError(sent)) {
+      deadline_misses_.fetch_add(1, std::memory_order_relaxed);
+    }
+    CloseLocked();
+    return sent;
+  }
+  if (fault.kind == FaultKind::kResetAfterSend) {
+    CloseLocked();
+    return Status::IOError("injected fault: connection reset after send");
+  }
+  if (fault.kind == FaultKind::kDelayRecv) {
+    SleepUnlocked(lock, fault.delay_micros);
+    if (fd_ < 0) return Status::IOError("connection reset during handshake");
+  }
+
+  std::string payload;
+  Status read = ReadHandshakeResponseLocked(lock, &payload, deadline);
+  if (!read.ok()) {
+    if (IsDeadlineError(read)) {
+      deadline_misses_.fetch_add(1, std::memory_order_relaxed);
+    }
+    CloseLocked();
+    return read;
+  }
+  Status app;
+  uint32_t server_version = 0;
+  Status decoded = DecodeHelloResponse(payload, &app, &server_version);
+  if (!decoded.ok() || !app.ok()) {
+    CloseLocked();
+    return decoded.ok() ? app : decoded;
+  }
+  if (server_version != kWireVersion) {
+    CloseLocked();
+    return Status::InvalidArgument(
+        "wire version mismatch: server speaks v" +
+        std::to_string(server_version) + ", client speaks v" +
+        std::to_string(kWireVersion));
+  }
+  return Status::OK();
 }
 
 Status SocketTransport::ReconnectLocked(MutexLock& lock) {
@@ -552,7 +508,7 @@ SocketTransport::AttemptResult SocketTransport::CallOnce(Request* req) {
         continue;  // re-evaluate admission on the fresh connection
       }
     } else if (!connecting_ && !sender_active_ &&
-               inflight_ < EffectiveMaxInflightLocked()) {
+               inflight_ < std::max(1, opts_.max_inflight)) {
       break;  // admitted
     }
     if (deadline == TimePoint::max()) {
@@ -571,7 +527,7 @@ SocketTransport::AttemptResult SocketTransport::CallOnce(Request* req) {
   sender_active_ = true;
   ++inflight_;
   PendingRpc rpc;
-  rpc.corr = wire_version_ >= 2 ? next_corr_++ : 0;
+  rpc.corr = next_corr_++;
   req->corr_id = rpc.corr;
   pending_[rpc.corr] = &rpc;
   rpcs_.fetch_add(1, std::memory_order_relaxed);
@@ -587,7 +543,7 @@ SocketTransport::AttemptResult SocketTransport::CallOnce(Request* req) {
       SleepUnlocked(lock, fault.delay_micros);
     }
     if (!rpc.failed && fd_ >= 0) {
-      std::string frame = EncodeFrame(EncodeRequest(*req, wire_version_));
+      std::string frame = EncodeFrame(EncodeRequest(*req));
       if (fault.kind == FaultKind::kCorruptFrame) {
         // Flip a payload byte (never the length varint, which could
         // leave the server waiting forever): the digest check rejects
@@ -662,20 +618,12 @@ SocketTransport::AttemptResult SocketTransport::CallOnce(Request* req) {
   cv_.notify_all();
 
   if (rpc.failed) {
-    out.kind = rpc.sent_fully ? AttemptResult::Kind::kAmbiguous
-                              : AttemptResult::Kind::kNotExecuted;
+    // A server frame reject proves the request never ran, however much
+    // of it left the socket.
+    out.kind = rpc.sent_fully && !IsBadFrameReject(rpc.error)
+                   ? AttemptResult::Kind::kAmbiguous
+                   : AttemptResult::Kind::kNotExecuted;
     out.error = std::move(rpc.error);
-    return out;
-  }
-  if (IsBadFrameReject(rpc.app)) {
-    // The server rejected the frame without executing it and is about to
-    // drop the connection; beat it to the close so the next attempt
-    // starts on a fresh dial. (Everything else in flight fails with it —
-    // a garbled stream has no per-id blast radius.)
-    CloseAndFailAllLocked(
-        Status::IOError("connection dropped after server frame reject"));
-    out.kind = AttemptResult::Kind::kNotExecuted;
-    out.error = std::move(rpc.app);
     return out;
   }
   if (rpc.app.IsResourceExhausted() && !IsDegradedReject(rpc.app)) {
@@ -946,8 +894,6 @@ Result<PublishResult> SocketTransport::Publish(const PublishRequest& pub) {
   req.author = pub.author;
   req.message = pub.message;
   req.expected_head = pub.expected_head;
-  // Cache push is v2-only on the wire; setting the flag on a v1
-  // connection is harmless (it is simply not encoded), so no lock here.
   req.want_push = opts_.cache_push;
 
   const int max_attempts = std::max(1, opts_.retry.max_attempts);
@@ -961,8 +907,7 @@ Result<PublishResult> SocketTransport::Publish(const PublishRequest& pub) {
     if (r.kind == AttemptResult::Kind::kResponded) {
       if (!r.app.ok()) return r.app;
       WirePublishResult wire;
-      Status decoded =
-          DecodePublishResultBody(r.body, &wire, negotiated_wire_version());
+      Status decoded = DecodePublishResultBody(r.body, &wire);
       if (!decoded.ok()) return decoded;
       DeliverPush(wire.pushed);
       PublishResult out;

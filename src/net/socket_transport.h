@@ -3,16 +3,14 @@
 // SocketTransport — the Transport implementation that talks to a
 // siri-server process over TCP.
 //
-// Pipelining. Under wire v2 (negotiated at Hello — a v1 peer on either
-// side degrades the connection to the legacy one-outstanding protocol)
-// the transport keeps up to Options::max_inflight RPCs outstanding on the
-// one connection. Each wire attempt carries a fresh correlation id;
-// responses are matched by id, so caller threads' RPCs overlap on the
-// wire instead of queuing behind each other's round trips. Internally:
-// one *sender* at a time owns the write side (frames never interleave),
-// and whichever waiting thread finds the read side free becomes the
-// *reader*, dispatching every decoded response to its waiter by id until
-// its own arrives, then handing the role to another waiter.
+// Pipelining. The transport keeps up to Options::max_inflight RPCs
+// outstanding on the one connection. Each wire attempt carries a fresh
+// correlation id; responses are matched by id, so caller threads' RPCs
+// overlap on the wire instead of queuing behind each other's round trips.
+// Internally: one *sender* at a time owns the write side (frames never
+// interleave), and whichever waiting thread finds the read side free
+// becomes the *reader*, dispatching every decoded response to its waiter
+// by id until its own arrives, then handing the role to another waiter.
 //
 // Where InProcessTransport *simulates* its round trip, this transport
 // *measures* it: stats() reports real serialized bytes and real
@@ -24,11 +22,11 @@
 // from the same deadline, so a server that dribbles one byte per poll
 // interval still times out on schedule. Retry backoff sleeps between
 // attempts are NOT counted against it: each attempt starts a fresh
-// budget. A v2 attempt that misses its deadline after its frame was
-// fully sent abandons just its own correlation id (the connection — and
-// every other in-flight RPC on it — stays healthy; the late response is
-// discarded on arrival); a v1 miss, or a miss mid-send, must close the
-// connection, because an un-abandoned stream position cannot be resynced.
+// budget. An attempt that misses its deadline after its frame was fully
+// sent abandons just its own correlation id (the connection — and every
+// other in-flight RPC on it — stays healthy; the late response is
+// discarded on arrival); a miss mid-send must close the connection,
+// because a torn stream position cannot be resynced.
 //
 // Resilience. When the wire fails, a capped-exponential RetryPolicy with
 // automatic reconnect + fresh Hello handshake replays the RPC. The retry
@@ -37,8 +35,9 @@
 //
 //   not executed — nothing sent, a torn frame (the length prefix makes the
 //     server wait for bytes that never come), a server frame-reject
-//     ("bad frame: ...", see net/wire.h), or a ResourceExhausted overload
-//     reject. Safe to replay any request, including Publish.
+//     ("bad frame: ...", see net/wire.h — it fails every RPC still pending
+//     on the connection, none of which ran), or a ResourceExhausted
+//     overload reject. Safe to replay any request, including Publish.
 //   ambiguous — the full frame left the socket but no clean response came
 //     back (lost ack — including a connection torn by ANOTHER RPC's fault
 //     while ours was awaiting its response). Safe to replay only the
@@ -57,13 +56,13 @@
 // Options::fault (net/fault.h); every wire exchange, handshakes included,
 // consumes one injector index.
 //
-// Cache push. With Options::cache_push set (and v2 negotiated), Publish
-// requests ask the server to attach the publish's staged batch — merged
-// index pages and commit objects, exactly the nodes a losing committer
-// re-reads next round — to the ack. Pushed nodes are re-digested
-// client-side (the socket is a trust boundary; a mismatched record is
-// dropped, never cached) and handed to the sink installed with
-// SetPushSink (ForkbaseClientStore write-allocates them into NodeCache).
+// Cache push. With Options::cache_push set, Publish requests ask the
+// server to attach the publish's staged batch — merged index pages and
+// commit objects, exactly the nodes a losing committer re-reads next
+// round — to the ack. Pushed nodes are re-digested client-side (the
+// socket is a trust boundary; a mismatched record is dropped, never
+// cached) and handed to the sink installed with SetPushSink
+// (ForkbaseClientStore write-allocates them into NodeCache).
 
 #ifndef SIRI_NET_SOCKET_TRANSPORT_H_
 #define SIRI_NET_SOCKET_TRANSPORT_H_
@@ -115,12 +114,11 @@ class SocketTransport : public Transport {
     /// explicit Close() always sticks regardless.
     bool auto_reconnect = true;
     /// RPCs outstanding on the connection at once (request pipelining).
-    /// Effective only once the Hello negotiates wire v2; a v1 peer keeps
-    /// the one-outstanding protocol regardless. Clamped to >= 1.
+    /// Clamped to >= 1.
     int max_inflight = 8;
     /// Ask the server to attach combined-publish staged batches to
-    /// Publish acks (combiner-aware cache push, wire v2 only). Off by
-    /// default so baseline bench rows stay reproducible.
+    /// Publish acks (combiner-aware cache push). Off by default so
+    /// baseline bench rows stay reproducible.
     bool cache_push = false;
     RetryPolicy retry;
     /// Optional deterministic saboteur for chaos tests and the chaos
@@ -129,12 +127,11 @@ class SocketTransport : public Transport {
   };
 
   /// Connects to 127.0.0.1:\p port (or \p host) and runs the Hello
-  /// version handshake (negotiating the wire version — see
-  /// net/wire.h); a non-siri server fails here, not on the first real
-  /// RPC. Transient handshake failures (IO, overload) are retried under
-  /// the policy; typed application rejects fail fast, except the
-  /// version-mismatch reject of a pre-negotiation server, which triggers
-  /// one downgrade retry at kMinWireVersion.
+  /// version handshake (net/wire.h); a non-siri server, or one speaking
+  /// another wire version, fails here, not on the first real RPC.
+  /// Transient handshake failures (IO, overload) are retried under the
+  /// policy; typed application rejects — the version mismatch included —
+  /// fail fast.
   [[nodiscard]] static Status Connect(const std::string& host, int port,
                                       std::shared_ptr<SocketTransport>* out,
                                       Options opts);
@@ -168,9 +165,6 @@ class SocketTransport : public Transport {
   /// function to uninstall). Pushed records reach the sink already
   /// digest-verified.
   void SetPushSink(PushSink sink) override;
-
-  /// The wire version the last Hello negotiated (1 until connected).
-  uint32_t negotiated_wire_version() const EXCLUDES(mu_);
 
   /// Closes the connection permanently; every later RPC fails with
   /// IOError (no reconnect — an explicit Close is an instruction, not a
@@ -211,7 +205,6 @@ class SocketTransport : public Transport {
   SocketTransport(std::string host, int port, int fd, Options opts);
 
   TimePoint DeadlineFromNow() const;
-  int EffectiveMaxInflightLocked() const REQUIRES(mu_);
 
   /// Fails every in-flight RPC with \p error, closes the fd, resets the
   /// decoder, and bumps the connection epoch. Each waiter classifies its
@@ -249,13 +242,13 @@ class SocketTransport : public Transport {
                                      TimePoint deadline)
       NO_THREAD_SAFETY_ANALYSIS;
 
-  /// A deadline miss for \p self: under v2 with the frame fully sent the
-  /// single correlation id is abandoned (connection stays up, late
-  /// response discarded); otherwise the stream position is lost and the
-  /// connection closes, failing everything in flight.
+  /// A deadline miss for \p self: with the frame fully sent the single
+  /// correlation id is abandoned (connection stays up, late response
+  /// discarded); otherwise the stream position is lost and the connection
+  /// closes, failing everything in flight.
   void HandleDeadlineMissLocked(PendingRpc* self) REQUIRES(mu_);
 
-  /// Hello on a freshly dialed fd_ + version negotiation (shares the
+  /// Hello on a freshly dialed fd_ + version check (shares the
   /// fault/deadline machinery; one injector index per hello attempt).
   Status HandshakeLocked(MutexLock& lock) REQUIRES(mu_);
   /// Re-dial + handshake; bumps stats().reconnects on success. Caller
@@ -295,7 +288,6 @@ class SocketTransport : public Transport {
   bool closed_ GUARDED_BY(mu_) = false;  ///< explicit Close(): no reconnect
   FrameDecoder decoder_ GUARDED_BY(mu_);
   Rng jitter_rng_ GUARDED_BY(mu_);
-  uint32_t wire_version_ GUARDED_BY(mu_) = 1;  ///< negotiated at Hello
   /// Bumped on every close; stale-epoch observers know their attempt was
   /// failed for them while they slept.
   uint64_t conn_epoch_ GUARDED_BY(mu_) = 0;

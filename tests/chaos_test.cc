@@ -40,7 +40,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/varint.h"
 #include "crypto/sha256.h"
 #include "index/pos/pos_tree.h"
 #include "net/fault.h"
@@ -326,8 +325,14 @@ TEST_F(ChaosServerTest, PublishCorruptFrameIsReplayedExactlyOnce) {
   pub.author = "chaos";
   pub.message = "corrupt-frame";
   fault->ScriptNext({FaultKind::kCorruptFrame, 0});
+  const uint64_t rpcs_before = t->stats().rpcs;
   auto published = t->Publish(pub);
   ASSERT_TRUE(published.ok()) << published.status().ToString();
+  // The reject classified the attempt not executed, so the publish was
+  // replayed straight away: the corrupt send, the re-dial's Hello, the
+  // replay — and no head-inspection probes (Head/Get) in between.
+  EXPECT_EQ(t->stats().rpcs - rpcs_before, 3u);
+  EXPECT_EQ(t->stats().retries, 1u);
 
   EXPECT_EQ(servlet_->branches()->branch_stats("main").commits, 1u);
   EXPECT_EQ(MessageCount(published->head, "corrupt-frame"), 1);
@@ -500,11 +505,8 @@ TEST(DeadlineTest, StalledServerMissesDeadlineTypedAndCounted) {
       }
       dec.Append(buf, static_cast<size_t>(n));
     }
-    std::string body;
-    PutVarint64(&body, net::kWireVersion);
-    // Hello responses are always v1-shaped (they precede negotiation).
-    const std::string resp = net::EncodeFrame(
-        net::EncodeResponse(Status::OK(), body, /*wire_version=*/1));
+    const std::string resp =
+        net::EncodeFrame(net::EncodeHelloResponse(Status::OK()));
     (void)send(c, resp.data(), resp.size(), MSG_NOSIGNAL);
     // Swallow everything else without ever answering, until the client
     // hangs up.
@@ -551,7 +553,7 @@ TEST(DeadlineTest, DribblingServerCannotResetTheWholeAttemptDeadline) {
     net::FrameDecoder dec;
     char buf[4096];
     std::string payload;
-    // Round 1: complete the Hello honestly (v1-shaped both ways).
+    // Round 1: complete the Hello honestly.
     auto read_frame = [&]() -> bool {
       for (;;) {
         auto next = dec.Next(&payload);
@@ -566,10 +568,8 @@ TEST(DeadlineTest, DribblingServerCannotResetTheWholeAttemptDeadline) {
       close(c);
       return;
     }
-    std::string body;
-    PutVarint64(&body, net::kWireVersion);
-    const std::string hello = net::EncodeFrame(
-        net::EncodeResponse(Status::OK(), body, /*wire_version=*/1));
+    const std::string hello =
+        net::EncodeFrame(net::EncodeHelloResponse(Status::OK()));
     (void)send(c, hello.data(), hello.size(), MSG_NOSIGNAL);
     // Round 2: read the request, then answer it one byte at a time — a
     // steady trickle of real protocol bytes, never a stall, never an end.
@@ -578,9 +578,9 @@ TEST(DeadlineTest, DribblingServerCannotResetTheWholeAttemptDeadline) {
       return;
     }
     net::Request req;
-    if (net::DecodeRequest(payload, &req, net::kWireVersion).ok()) {
-      const std::string resp = net::EncodeFrame(net::EncodeResponse(
-          Status::NotFound("not here"), "", net::kWireVersion, req.corr_id));
+    if (net::DecodeRequest(payload, &req).ok()) {
+      const std::string resp = net::EncodeFrame(
+          net::EncodeResponse(Status::NotFound("not here"), "", req.corr_id));
       for (size_t i = 0; i < resp.size() && !stop.load(); ++i) {
         if (send(c, resp.data() + i, 1, MSG_NOSIGNAL) != 1) break;
         std::this_thread::sleep_for(std::chrono::milliseconds(25));
@@ -632,7 +632,7 @@ TEST_F(ChaosServerTest, ShortWriteAtEveryOffsetBoundaryRecovers) {
   probe.corr_id = 1;
   probe.hash = h;
   const uint64_t frame_size =
-      net::EncodeFrame(net::EncodeRequest(probe, net::kWireVersion)).size();
+      net::EncodeFrame(net::EncodeRequest(probe)).size();
 
   const uint64_t offsets[] = {0, 1, frame_size / 2, frame_size - 1,
                               frame_size};
@@ -688,7 +688,7 @@ TEST_F(ChaosServerTest, PublishShortWriteOneByteShortIsTornNotExecuted) {
   probe.author = pub.author;
   probe.message = pub.message;
   const uint64_t frame_size =
-      net::EncodeFrame(net::EncodeRequest(probe, net::kWireVersion)).size();
+      net::EncodeFrame(net::EncodeRequest(probe)).size();
 
   fault->ScriptNext({FaultKind::kShortWrite, 0, frame_size - 1});
   auto published = t->Publish(pub);
@@ -732,7 +732,7 @@ TEST_F(ChaosServerTest, PublishShortWriteOfFullFrameIsAmbiguousNotReplayed) {
   probe.author = pub.author;
   probe.message = pub.message;
   const uint64_t frame_size =
-      net::EncodeFrame(net::EncodeRequest(probe, net::kWireVersion)).size();
+      net::EncodeFrame(net::EncodeRequest(probe)).size();
 
   fault->ScriptNext({FaultKind::kShortWrite, 0, frame_size});
   auto published = t->Publish(pub);

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -247,54 +249,59 @@ TEST(WireCodecTest, ResultBodiesRoundTrip) {
   EXPECT_EQ(branches2, branches);
 }
 
-// --- wire v2: correlation ids, want_push, pushed batches ---------------
+// --- correlation ids, want_push, pushed batches ------------------------
 
-TEST(WireCodecTest, CorrelationIdRoundTripsUnderV2AndIsAbsentUnderV1) {
+TEST(WireCodecTest, RequestCorrelationIdRoundTrips) {
   Request req;
   req.type = MsgType::kGet;
   req.hash = Sha256::Digest("corr");
   req.corr_id = 0x1234567u;
-
-  Request v2;
-  ASSERT_TRUE(net::DecodeRequest(net::EncodeRequest(req, 2), &v2, 2).ok());
-  EXPECT_EQ(v2.corr_id, 0x1234567u);
-  EXPECT_EQ(v2.hash, req.hash);
-
-  // The v1 dialect has no corr-id slot: it is not encoded, and a v1
-  // decode of a v1 frame yields 0.
-  Request v1;
-  ASSERT_TRUE(net::DecodeRequest(net::EncodeRequest(req, 1), &v1, 1).ok());
-  EXPECT_EQ(v1.corr_id, 0u);
-  EXPECT_EQ(v1.hash, req.hash);
+  const Request out = RoundTrip(req);
+  EXPECT_EQ(out.corr_id, 0x1234567u);
+  EXPECT_EQ(out.hash, req.hash);
 }
 
 TEST(WireCodecTest, ResponseCorrelationIdRoundTripsUnderV2) {
-  const std::string v2 =
-      net::EncodeResponse(Status::OK(), Slice("pipelined"), 2, 0x42u);
+  const std::string payload =
+      net::EncodeResponse(Status::OK(), Slice("pipelined"), 0x42u);
   Status app;
   std::string body;
   uint64_t corr = 0;
-  ASSERT_TRUE(net::DecodeResponse(v2, &app, &body, 2, &corr).ok());
+  ASSERT_TRUE(net::DecodeResponse(payload, &app, &body, &corr).ok());
   EXPECT_TRUE(app.ok());
   EXPECT_EQ(body, "pipelined");
   EXPECT_EQ(corr, 0x42u);
-
-  // v1 responses carry no id; the out-param reports 0.
-  const std::string v1 = net::EncodeResponse(Status::OK(), Slice("solo"), 1);
-  corr = 99;
-  ASSERT_TRUE(net::DecodeResponse(v1, &app, &body, 1, &corr).ok());
-  EXPECT_EQ(body, "solo");
-  EXPECT_EQ(corr, 0u);
 }
 
 TEST(WireCodecTest, HelloIsAlwaysV1ShapedRegardlessOfRequestedVersion) {
-  // The Hello precedes negotiation, so its encoding must not depend on
-  // the version being negotiated — both dialects produce identical bytes.
+  // The Hello is the one frozen shape, the id-less layout of the first
+  // wire version — `kHello | varint version` in, `kResponse | code | lp
+  // message | body` out — so a build speaking any other version can still
+  // read the verdict. These golden bytes must never change.
   Request hello;
   hello.type = MsgType::kHello;
-  hello.version = net::kWireVersion;
-  hello.corr_id = 7;  // must be ignored: Hello has no corr slot
-  EXPECT_EQ(net::EncodeRequest(hello, 2), net::EncodeRequest(hello, 1));
+  hello.corr_id = 7;  // must be ignored: the Hello has no id slot
+  for (const uint32_t v : {1u, net::kWireVersion, 9u}) {
+    hello.version = v;
+    EXPECT_EQ(net::EncodeRequest(hello),
+              std::string("\x01", 1) + static_cast<char>(v));
+  }
+  EXPECT_EQ(net::EncodeHelloResponse(Status::OK()),
+            std::string("\x40\x00\x00\x02", 4));
+  const std::string reject =
+      net::EncodeHelloResponse(Status::InvalidArgument("no"));
+  EXPECT_EQ(reject, std::string("\x40\x03\x02no", 5));
+
+  Status app;
+  uint32_t version = 0;
+  ASSERT_TRUE(net::DecodeHelloResponse(reject, &app, &version).ok());
+  EXPECT_TRUE(app.IsInvalidArgument());
+  ASSERT_TRUE(
+      net::DecodeHelloResponse(net::EncodeHelloResponse(Status::OK(), 9), &app,
+                               &version)
+          .ok());
+  EXPECT_TRUE(app.ok());
+  EXPECT_EQ(version, 9u);
 }
 
 TEST(WireCodecTest, WantPushRoundTripsUnderV2Only) {
@@ -306,14 +313,7 @@ TEST(WireCodecTest, WantPushRoundTripsUnderV2Only) {
   pub.author = "a";
   pub.message = "m";
   pub.want_push = true;
-
-  Request v2;
-  ASSERT_TRUE(net::DecodeRequest(net::EncodeRequest(pub, 2), &v2, 2).ok());
-  EXPECT_TRUE(v2.want_push);
-
-  Request v1;
-  ASSERT_TRUE(net::DecodeRequest(net::EncodeRequest(pub, 1), &v1, 1).ok());
-  EXPECT_FALSE(v1.want_push);  // the v1 dialect cannot ask for a push
+  EXPECT_TRUE(RoundTrip(pub).want_push);
 }
 
 TEST(WireCodecTest, PublishResultPushedBatchRoundTripsUnderV2) {
@@ -325,23 +325,14 @@ TEST(WireCodecTest, PublishResultPushedBatchRoundTripsUnderV2) {
   pub.pushed.push_back({Sha256::Digest(*page), page});
   pub.pushed.push_back({Sha256::Digest(*node), node});
 
-  net::WirePublishResult v2;
+  net::WirePublishResult out;
   ASSERT_TRUE(
-      net::DecodePublishResultBody(net::EncodePublishResultBody(pub, 2), &v2, 2)
+      net::DecodePublishResultBody(net::EncodePublishResultBody(pub), &out)
           .ok());
-  ASSERT_EQ(v2.pushed.size(), 2u);
-  EXPECT_EQ(v2.pushed[0].hash, pub.pushed[0].hash);
-  EXPECT_EQ(*v2.pushed[0].bytes, *page);
-  EXPECT_EQ(*v2.pushed[1].bytes, *node);
-
-  // Encoded for a v1 peer, the push is silently dropped — the ack stays
-  // exactly the legacy shape.
-  net::WirePublishResult v1;
-  ASSERT_TRUE(
-      net::DecodePublishResultBody(net::EncodePublishResultBody(pub, 1), &v1, 1)
-          .ok());
-  EXPECT_TRUE(v1.pushed.empty());
-  EXPECT_EQ(v1.head, pub.head);
+  ASSERT_EQ(out.pushed.size(), 2u);
+  EXPECT_EQ(out.pushed[0].hash, pub.pushed[0].hash);
+  EXPECT_EQ(*out.pushed[0].bytes, *page);
+  EXPECT_EQ(*out.pushed[1].bytes, *node);
 }
 
 // --- frame decoder hardening ------------------------------------------
@@ -682,28 +673,64 @@ TEST_F(LoopbackServerTest, BranchOpsRoundTrip) {
   EXPECT_TRUE(t->Flush().ok());
 }
 
+namespace {
+
+/// Connects a raw socket to loopback \p port; -1 on failure.
+int DialLoopback(int port) {
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  if (inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr) != 1 ||
+      connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Reads one whole frame payload from \p fd; false on EOF or garbage.
+bool ReadFramePayload(int fd, std::string* payload) {
+  FrameDecoder dec;
+  for (;;) {
+    auto r = dec.Next(payload);
+    if (!r.ok()) return false;
+    if (*r) return true;
+    char buf[4096];
+    const ssize_t n = recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) return false;
+    dec.Append(buf, static_cast<size_t>(n));
+  }
+}
+
+}  // namespace
+
 TEST_F(LoopbackServerTest, GarbageConnectionDiesAloneServerSurvives) {
   auto healthy = Connect();
   ASSERT_NE(healthy, nullptr);
 
   // A raw socket spews garbage at the server.
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = DialLoopback(server_->port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(server_->port()));
-  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
   const std::string garbage(64, '\xff');
   ASSERT_EQ(send(fd, garbage.data(), garbage.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(garbage.size()));
 
-  // The garbage connection is closed by the server (recv sees EOF).
+  // The garbage connection gets the typed bad-frame reject — in the
+  // id-less Hello shape, since it never completed a Hello — and is then
+  // closed by the server (recv sees EOF).
+  std::string payload;
+  ASSERT_TRUE(ReadFramePayload(fd, &payload));
+  Status app;
+  uint32_t version = 0;
+  ASSERT_TRUE(net::DecodeHelloResponse(payload, &app, &version).ok());
+  EXPECT_TRUE(net::IsBadFrameReject(app)) << app.ToString();
   char buf[256];
   ssize_t n;
   for (;;) {
     n = recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;  // typed error response bytes, then close
+    if (n <= 0) break;
   }
   EXPECT_EQ(n, 0);
   close(fd);
@@ -718,94 +745,66 @@ TEST_F(LoopbackServerTest, GarbageConnectionDiesAloneServerSurvives) {
 namespace {
 
 /// Hand-rolls one Hello advertising \p version against \p port and
-/// returns the server's application verdict; on success, \p negotiated
-/// receives the version the server answered with. The exchange is
-/// v1-shaped on both legs, as every Hello is (it precedes negotiation).
-Status HandRolledHello(int port, uint64_t version, uint64_t* negotiated) {
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return Status::IOError("socket");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr) != 1 ||
-      connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    close(fd);
-    return Status::IOError("connect");
-  }
+/// returns the server's verdict; on success, \p answered receives the
+/// version the server answered with. \p closed reports whether the server
+/// then hung up (checked only after a reject — an accepted connection
+/// stays open).
+Status HandRolledHello(int port, uint64_t version, uint32_t* answered,
+                       bool* closed) {
+  const int fd = DialLoopback(port);
+  if (fd < 0) return Status::IOError("connect");
   Request hello;
   hello.type = MsgType::kHello;
   hello.version = static_cast<uint32_t>(version);
-  const std::string frame =
-      net::EncodeFrame(net::EncodeRequest(hello, /*wire_version=*/1));
-  if (send(fd, frame.data(), frame.size(), MSG_NOSIGNAL) !=
-      static_cast<ssize_t>(frame.size())) {
-    close(fd);
-    return Status::IOError("send");
-  }
-  FrameDecoder dec;
+  const std::string frame = net::EncodeFrame(net::EncodeRequest(hello));
   std::string payload;
-  bool got_response = false;
-  for (;;) {
-    auto r = dec.Next(&payload);
-    if (!r.ok()) break;
-    if (*r) {
-      got_response = true;
-      break;
-    }
-    char buf[4096];
-    const ssize_t n = recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    dec.Append(buf, static_cast<size_t>(n));
+  if (send(fd, frame.data(), frame.size(), MSG_NOSIGNAL) !=
+          static_cast<ssize_t>(frame.size()) ||
+      !ReadFramePayload(fd, &payload)) {
+    close(fd);
+    return Status::IOError("no response");
+  }
+  Status app;
+  Status decoded = net::DecodeHelloResponse(payload, &app, answered);
+  if (decoded.ok() && !app.ok()) {
+    // Bounded wait: a server that keeps the connection open fails the
+    // check instead of hanging the test.
+    const timeval timeout{5, 0};
+    (void)setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    char byte;
+    *closed = recv(fd, &byte, 1, 0) == 0;
   }
   close(fd);
-  if (!got_response) return Status::IOError("no response");
-  Status app;
-  std::string body;
-  const Status decoded =
-      net::DecodeResponse(payload, &app, &body, /*wire_version=*/1);
-  if (!decoded.ok()) return decoded;
-  if (!app.ok()) return app;
-  Slice in(body);
-  if (!GetVarint64(&in, negotiated) || !in.empty()) {
-    return Status::Corruption("hello body");
-  }
-  return Status::OK();
+  return decoded.ok() ? app : decoded;
 }
 
 }  // namespace
 
-TEST_F(LoopbackServerTest, HelloNegotiatesFutureAndCurrentVersionsDown) {
-  // The negotiation matrix, server side. A future-version client is not
-  // rejected: the server answers min(client, server) and the connection
-  // proceeds at the version both speak.
-  uint64_t negotiated = 0;
-  ASSERT_TRUE(
-      HandRolledHello(server_->port(), net::kWireVersion + 1, &negotiated)
-          .ok());
-  EXPECT_EQ(negotiated, net::kWireVersion);
-
-  negotiated = 0;
-  ASSERT_TRUE(
-      HandRolledHello(server_->port(), net::kWireVersion, &negotiated).ok());
-  EXPECT_EQ(negotiated, net::kWireVersion);
-
-  // A legacy v1 client pins the connection at v1: the server must not
-  // assume corr ids it would never receive.
-  negotiated = 0;
-  ASSERT_TRUE(
-      HandRolledHello(server_->port(), net::kMinWireVersion, &negotiated)
-          .ok());
-  EXPECT_EQ(negotiated, net::kMinWireVersion);
+TEST_F(LoopbackServerTest, HelloAcceptsExactlyTheWireVersion) {
+  uint32_t answered = 0;
+  bool closed = false;
+  ASSERT_TRUE(HandRolledHello(server_->port(), net::kWireVersion, &answered,
+                              &closed)
+                  .ok());
+  EXPECT_EQ(answered, net::kWireVersion);
 }
 
-TEST_F(LoopbackServerTest, VersionSkewBelowFloorFailsHandshakeTyped) {
-  // Below the floor there is no common dialect: the Hello is rejected
-  // with a typed InvalidArgument (and the connection survives the reject
-  // — the peer may offer another version; HandRolledHello closes it).
-  uint64_t negotiated = 0;
-  const Status s = HandRolledHello(server_->port(), 0, &negotiated);
-  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
-  EXPECT_NE(s.ToString().find("wire version mismatch"), std::string::npos);
+TEST_F(LoopbackServerTest, HelloVersionMismatchIsTypedAndClosesConnection) {
+  // One version is spoken: any other — older, newer, or nonsense — draws
+  // the typed reject in the frozen Hello shape, and the server hangs up
+  // (no client sends a second Hello).
+  for (const uint64_t version :
+       {uint64_t{0}, uint64_t{net::kWireVersion - 1},
+        uint64_t{net::kWireVersion + 1}}) {
+    SCOPED_TRACE("hello v" + std::to_string(version));
+    uint32_t answered = 0;
+    bool closed = false;
+    const Status s =
+        HandRolledHello(server_->port(), version, &answered, &closed);
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_NE(s.ToString().find("wire version mismatch"), std::string::npos);
+    EXPECT_TRUE(closed);
+  }
 }
 
 TEST_F(LoopbackServerTest, ClientStoreOverSocketReadsAndCommits) {
@@ -861,7 +860,6 @@ TEST_F(LoopbackServerTest, PipelinedThreadsShareOneConnectionWithoutCrosstalk) {
   ASSERT_TRUE(
       net::SocketTransport::Connect("127.0.0.1", server_->port(), &t, opts)
           .ok());
-  EXPECT_EQ(t->negotiated_wire_version(), 2u);
 
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 40;
@@ -900,78 +898,56 @@ TEST_F(LoopbackServerTest, PipelinedThreadsShareOneConnectionWithoutCrosstalk) {
   EXPECT_EQ(server_->stats().connections, 1u);
 }
 
-namespace {
+TEST(WireHandshakeTest, PeerAnsweringAnotherVersionFailsConnectTyped) {
+  // A peer that answers the Hello with any version but kWireVersion fails
+  // Connect with the typed mismatch — fast, even under a retrying policy:
+  // one Hello, no second dial.
+  for (const uint32_t answer : {net::kWireVersion - 1, net::kWireVersion + 1}) {
+    SCOPED_TRACE("peer answers v" + std::to_string(answer));
+    const int listen_fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(listen_fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(
+        bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    ASSERT_EQ(listen(listen_fd, 4), 0);
+    socklen_t len = sizeof(addr);
+    ASSERT_EQ(
+        getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+    std::atomic<int> hellos{0};
+    std::thread peer([&] {
+      const int c = accept(listen_fd, nullptr, nullptr);
+      if (c < 0) return;
+      std::string payload;
+      Request req;
+      if (ReadFramePayload(c, &payload) &&
+          net::DecodeRequest(payload, &req).ok() &&
+          req.type == MsgType::kHello) {
+        hellos.fetch_add(1);
+        const std::string resp =
+            net::EncodeFrame(net::EncodeHelloResponse(Status::OK(), answer));
+        (void)send(c, resp.data(), resp.size(), MSG_NOSIGNAL);
+      }
+      char buf[64];
+      while (recv(c, buf, sizeof(buf), 0) > 0) {
+      }
+      close(c);
+    });
 
-/// A minimal v1-only peer: answers the Hello with version 1 (v1-shaped,
-/// as every Hello exchange is), then serves kFlush requests in the v1
-/// dialect until the client hangs up. Anything else gets a typed error.
-void RunV1OnlyPeer(int listen_fd) {
-  const int c = accept(listen_fd, nullptr, nullptr);
-  if (c < 0) return;
-  FrameDecoder dec;
-  std::string payload;
-  char buf[4096];
-  for (;;) {
-    auto next = dec.Next(&payload);
-    if (!next.ok()) break;
-    if (!*next) {
-      const ssize_t n = recv(c, buf, sizeof(buf), 0);
-      if (n <= 0) break;
-      dec.Append(buf, static_cast<size_t>(n));
-      continue;
-    }
-    Request req;
-    if (!net::DecodeRequest(payload, &req, /*wire_version=*/1).ok()) break;
-    Status app;
-    std::string body;
-    if (req.type == MsgType::kHello) {
-      PutVarint64(&body, 1);  // a pre-v2 server knows only its own version
-    } else if (req.type != MsgType::kFlush) {
-      app = Status::NotSupported("v1 peer serves only Flush");
-    }
-    const std::string resp =
-        net::EncodeFrame(net::EncodeResponse(app, body, /*wire_version=*/1));
-    if (send(c, resp.data(), resp.size(), MSG_NOSIGNAL) !=
-        static_cast<ssize_t>(resp.size())) {
-      break;
-    }
+    std::shared_ptr<net::SocketTransport> t;
+    const Status s =
+        net::SocketTransport::Connect("127.0.0.1", ntohs(addr.sin_port), &t);
+    peer.join();
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_NE(s.ToString().find("wire version mismatch"), std::string::npos);
+    EXPECT_EQ(t, nullptr);
+    EXPECT_EQ(hellos.load(), 1);
+    // No retry and no reconnect: no second dial waits in the backlog.
+    ASSERT_EQ(fcntl(listen_fd, F_SETFL, O_NONBLOCK), 0);
+    EXPECT_LT(accept(listen_fd, nullptr, nullptr), 0);
+    close(listen_fd);
   }
-  close(c);
-}
-
-}  // namespace
-
-TEST(WireNegotiationTest, V1PeerDegradesConnectionToLegacyProtocol) {
-  // New client, old server: the Hello negotiates the connection down to
-  // v1 — no corr ids on the wire, effective inflight 1 — and RPCs still
-  // work. This pins the old-server row of the negotiation matrix.
-  int listen_fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  ASSERT_GE(listen_fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  ASSERT_EQ(bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  ASSERT_EQ(listen(listen_fd, 4), 0);
-  socklen_t len = sizeof(addr);
-  ASSERT_EQ(getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len),
-            0);
-  const int port = ntohs(addr.sin_port);
-  std::thread peer([listen_fd] { RunV1OnlyPeer(listen_fd); });
-
-  net::SocketTransport::Options opts;
-  opts.max_inflight = 8;  // requested, but v1 must pin the effective depth
-  opts.auto_reconnect = false;
-  opts.retry.max_attempts = 1;
-  std::shared_ptr<net::SocketTransport> t;
-  ASSERT_TRUE(net::SocketTransport::Connect("127.0.0.1", port, &t, opts).ok());
-  EXPECT_EQ(t->negotiated_wire_version(), 1u);
-  EXPECT_TRUE(t->Flush().ok());
-  EXPECT_TRUE(t->Flush().ok());
-  t->Close();
-  peer.join();
-  close(listen_fd);
 }
 
 TEST(ServerFrameCapTest, RequestAtExactCapExecutesOneOverIsRejected) {
@@ -1013,6 +989,8 @@ TEST(ServerFrameCapTest, RequestAtExactCapExecutesOneOverIsRejected) {
   const std::string over_cap(sopts.max_frame_bytes - overhead + 1, 'z');
   auto rejected = t->Put(over_cap);
   ASSERT_FALSE(rejected.ok());
+  EXPECT_TRUE(net::IsBadFrameReject(rejected.status()))
+      << rejected.status().ToString();
   EXPECT_EQ(server.stats().frame_errors, 1u);
   server.Stop();
 }
