@@ -9,8 +9,6 @@
 #ifndef SIRI_BENCH_BENCH_COMMON_H_
 #define SIRI_BENCH_BENCH_COMMON_H_
 
-#include <unistd.h>
-
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -23,17 +21,11 @@
 
 #include "common/histogram.h"
 #include "common/timer.h"
-#include "crypto/sha256.h"
 #include "index/index.h"
-#include "io/fault_env.h"
 #include "index/mbt/mbt.h"
 #include "index/mpt/mpt.h"
 #include "index/mvmb/mvmb_tree.h"
 #include "index/pos/pos_tree.h"
-#include "net/server.h"
-#include "net/socket_transport.h"
-#include "net/wire.h"
-#include "store/file_store.h"
 #include "store/node_store.h"
 #include "system/forkbase.h"
 #include "version/occ.h"
@@ -55,10 +47,6 @@ inline const char* const kKnownBenchFlags[] = {
     "--branch-commits-only",
     "--group-commit-only",
     "--smoke",
-    "--transport=",
-    "--chaos",
-    "--pipeline",
-    "--disk-fault=",
 };
 
 /// Returns the first argv entry matching no known bench flag, or nullptr
@@ -98,10 +86,7 @@ inline uint64_t ParseScale(int argc, char** argv) {
              "  YCSB benches (fig06/fig10/fig21) also take"
              " [--threads=K[,K...]] [--write-threads=K[,K...]]\n"
              "  fig06 also takes [--threads-only] [--write-scaling-only]"
-             " [--branch-commits-only] [--smoke]\n"
-             "  fig06 --transport=socket also takes [--chaos] (goodput"
-             " under injected wire faults) and [--pipeline] (depth sweep"
-             " of writers sharing one connection)\n",
+             " [--branch-commits-only] [--group-commit-only] [--smoke]\n",
              argv[0]);
       exit(0);
     }
@@ -142,38 +127,6 @@ inline std::vector<int> ParseThreadCounts(int argc, char** argv) {
 /// sections.
 inline std::vector<int> ParseWriteThreadCounts(int argc, char** argv) {
   return ParseThreadList(argc, argv, "--write-threads=");
-}
-
-/// --transport=inproc|socket (default inproc). Rejects anything else with
-/// exit 2: a misspelled transport must not silently fall back to the
-/// in-process path and record its numbers under the wrong label.
-inline std::string ParseTransportFlag(int argc, char** argv) {
-  std::string transport = "inproc";
-  for (int i = 1; i < argc; ++i) {
-    if (strncmp(argv[i], "--transport=", 12) == 0) transport = argv[i] + 12;
-  }
-  if (transport != "inproc" && transport != "socket") {
-    fprintf(stderr, "%s: --transport must be 'inproc' or 'socket', got '%s'\n",
-            argv[0], transport.c_str());
-    exit(2);
-  }
-  return transport;
-}
-
-/// --disk-fault=enospc (default none). Rejects anything else with exit 2
-/// for the same reason as --transport: a misspelled fault kind must not
-/// silently run the healthy benchmark and report it as a fault run.
-inline std::string ParseDiskFaultFlag(int argc, char** argv) {
-  std::string fault = "none";
-  for (int i = 1; i < argc; ++i) {
-    if (strncmp(argv[i], "--disk-fault=", 13) == 0) fault = argv[i] + 13;
-  }
-  if (fault != "none" && fault != "enospc") {
-    fprintf(stderr, "%s: --disk-fault must be 'enospc', got '%s'\n", argv[0],
-            fault.c_str());
-    exit(2);
-  }
-  return fault;
 }
 
 /// True if \p flag (e.g. "--threads-only") was passed.
@@ -796,7 +749,6 @@ inline void RunGroupCommitTable(uint64_t n, uint64_t mbt_buckets,
         char line[256];
         snprintf(line, sizeof(line),
                  "#json group_commit structure=%s threads=%d gc=%s "
-                 "transport=inproc "
                  "commits_per_sec=%.1f commits_per_fsync=%.2f "
                  "combined_commits=%llu window_us=%llu",
                  indexes[i].name.c_str(), threads,
@@ -812,828 +764,6 @@ inline void RunGroupCommitTable(uint64_t n, uint64_t mbt_buckets,
   // Machine-readable trajectory lines (run_bench.sh lifts
   // commits_per_fsync and the window size into the bench JSON).
   for (const std::string& line : machine_lines) printf("%s\n", line.c_str());
-}
-
-/// Drives and prints one [socket commit pipeline] table: the same
-/// contended-branch group-commit regime, but through the REAL boundary —
-/// an in-process SiriServer on an ephemeral loopback port, a file-backed
-/// server store (real fsyncs), and K writer clients each owning its own
-/// SocketTransport connection and ForkbaseClientStore.
-///
-/// Honesty rules for these numbers: the in-process tables above *simulate*
-/// their round trips (slept RTTs), this table *measures* loopback TCP —
-/// the two are different quantities and must never be read as one series.
-/// So every socket cell reports what only a real transport can measure —
-/// bytes per RPC and syscalls per commit — next to its commits/s, and the
-/// `#json` lines carry `transport=socket` so the recorded trajectory can
-/// never silently mix the regimes.
-inline void RunSocketCommitTable(uint64_t n, uint64_t mbt_buckets,
-                                 const std::vector<int>& thread_counts,
-                                 int commits_per_writer,
-                                 uint64_t window_micros) {
-  printf("\n[socket commit pipeline] REAL loopback TCP via in-process "
-         "siri-server, file-backed store (real fsyncs), n=%llu records, "
-         "window=%lluus — measured bytes/RPC + syscalls/commit, NOT "
-         "comparable with the slept-RTT tables above\n",
-         static_cast<unsigned long long>(n),
-         static_cast<unsigned long long>(window_micros));
-  printf("%8s %24s %24s %24s %24s\n", "threads",
-         "pos(cmt/s|B/rpc|sys|cpf)", "mbt(cmt/s|B/rpc|sys|cpf)",
-         "mpt(cmt/s|B/rpc|sys|cpf)", "mvmb(cmt/s|B/rpc|sys|cpf)");
-
-  YcsbGenerator gen(1);
-  auto records = gen.GenerateRecords(n);
-
-  const std::string store_path =
-      "/tmp/siri_bench_socket_" + std::to_string(getpid()) + ".log";
-  std::remove(store_path.c_str());
-  std::shared_ptr<FileNodeStore> server_store;
-  SIRI_CHECK(FileNodeStore::Open(store_path, &server_store).ok());
-
-  GroupCommitOptions gc;
-  gc.window_micros = window_micros;
-  gc.merge.max_retries = std::numeric_limits<int>::max();
-  ForkbaseServlet servlet(server_store, gc);
-  auto indexes = MakeAllIndexes(server_store, mbt_buckets);
-  std::vector<Hash> roots;
-  for (auto& [name, index] : indexes) {
-    roots.push_back(LoadRecords(index.get(), records));
-    // The server must serve Publish RPCs for each structure: same store,
-    // same geometry as the loaded index.
-  }
-  {
-    auto registered = MakeAllIndexes(server_store, mbt_buckets);
-    for (auto& [name, index] : registered) {
-      servlet.RegisterIndex(std::move(index));
-    }
-  }
-
-  net::ServerOptions sopts;
-  sopts.group_flush_window_micros = window_micros;
-  net::SiriServer server(&servlet, sopts);
-  SIRI_CHECK(server.Listen(0).ok());
-  SIRI_CHECK(server.Start().ok());
-  const int port = server.port();
-
-  std::vector<std::string> machine_lines;
-  for (int threads : thread_counts) {
-    printf("%8d", threads);
-    for (size_t i = 0; i < indexes.size(); ++i) {
-      const std::string branch =
-          indexes[i].name + "-sock-k" + std::to_string(threads);
-      {
-        auto init = servlet.branches()->CommitOnBranch(branch, roots[i],
-                                                       "init", "base");
-        SIRI_CHECK(init.ok());
-      }
-
-      // Connect and warm every client BEFORE the timer: each client
-      // receives the base version as one version-transfer pack (cache
-      // write-allocation), exactly like the in-process tables.
-      struct SocketClient {
-        std::shared_ptr<net::SocketTransport> transport;
-        std::shared_ptr<ForkbaseClientStore> store;
-        std::unique_ptr<ImmutableIndex> index;
-      };
-      std::vector<SocketClient> clients(threads);
-      auto pack = PackVersions(*indexes[i].index, {roots[i]});
-      SIRI_CHECK(pack.ok());
-      for (int t = 0; t < threads; ++t) {
-        SIRI_CHECK(net::SocketTransport::Connect("127.0.0.1", port,
-                                                 &clients[t].transport)
-                       .ok());
-        clients[t].store = std::make_shared<ForkbaseClientStore>(
-            clients[t].transport, 32 << 20);
-        clients[t].index = indexes[i].index->WithStore(clients[t].store);
-        SIRI_CHECK(UnpackVersions(*pack, clients[t].store.get()).ok());
-      }
-      // Snapshot after warmup so the reported traffic is the commits'.
-      net::Transport::Stats warm{};
-      for (auto& c : clients) {
-        const auto s = c.transport->stats();
-        warm.rpcs += s.rpcs;
-        warm.bytes_sent += s.bytes_sent;
-        warm.bytes_received += s.bytes_received;
-        warm.syscalls += s.syscalls;
-      }
-      const uint64_t fsyncs_before = server_store->stats().flushes;
-
-      std::atomic<bool> go{false};
-      std::vector<std::thread> workers;
-      workers.reserve(threads);
-      for (int t = 0; t < threads; ++t) {
-        workers.emplace_back([&, t] {
-          auto& cl = clients[t];
-          while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-          for (int c = 0; c < commits_per_writer; ++c) {
-            auto head = cl.transport->Head(branch);
-            SIRI_CHECK(head.ok());
-            auto node = cl.store->Get(*head);
-            SIRI_CHECK(node.ok());
-            auto head_commit = Commit::Decode(**node);
-            SIRI_CHECK(head_commit.ok());
-            std::vector<KV> batch;
-            const BranchContentionConfig defaults;
-            batch.reserve(defaults.upload_kvs);
-            for (size_t k = 0; k < defaults.upload_kvs; ++k) {
-              batch.push_back(
-                  KV{BranchContentionKey(t, c, 0, k), "v" + std::to_string(c)});
-            }
-            auto next = cl.index->PutBatch(head_commit->root, std::move(batch));
-            SIRI_CHECK(next.ok());
-            net::PublishRequest pub;
-            pub.structure = indexes[i].name;
-            pub.branch = branch;
-            pub.new_root = *next;
-            pub.author = "w" + std::to_string(t);
-            pub.message = "c" + std::to_string(c);
-            pub.expected_head = *head;
-            auto landed = cl.transport->Publish(pub);
-            SIRI_CHECK(landed.ok());
-          }
-        });
-      }
-      Timer timer;
-      go.store(true, std::memory_order_release);
-      for (auto& w : workers) w.join();
-      const double secs = timer.ElapsedSeconds();
-
-      net::Transport::Stats total{};
-      for (auto& c : clients) {
-        const auto s = c.transport->stats();
-        total.rpcs += s.rpcs;
-        total.bytes_sent += s.bytes_sent;
-        total.bytes_received += s.bytes_received;
-        total.syscalls += s.syscalls;
-      }
-      const uint64_t rpcs = total.rpcs - warm.rpcs;
-      const uint64_t bytes = (total.bytes_sent + total.bytes_received) -
-                             (warm.bytes_sent + warm.bytes_received);
-      const uint64_t syscalls = total.syscalls - warm.syscalls;
-      const uint64_t commits =
-          static_cast<uint64_t>(threads) * commits_per_writer;
-      const uint64_t fsyncs = server_store->stats().flushes - fsyncs_before;
-      const double commits_per_sec =
-          secs == 0 ? 0 : static_cast<double>(commits) / secs;
-      const double bytes_per_rpc =
-          rpcs == 0 ? 0 : static_cast<double>(bytes) / rpcs;
-      const double syscalls_per_commit =
-          commits == 0 ? 0 : static_cast<double>(syscalls) / commits;
-      const double commits_per_fsync =
-          fsyncs == 0 ? 0 : static_cast<double>(commits) / fsyncs;
-
-      // Zero lost updates across real connections, verified server-side.
-      auto head = servlet.branches()->Head(branch);
-      SIRI_CHECK(head.ok());
-      auto head_commit = servlet.branches()->ReadCommit(*head);
-      SIRI_CHECK(head_commit.ok());
-      const BranchContentionConfig defaults;
-      for (int t = 0; t < threads; ++t) {
-        for (int c = 0; c < commits_per_writer; ++c) {
-          for (size_t k = 0; k < defaults.upload_kvs; ++k) {
-            auto got = indexes[i].index->Get(
-                head_commit->root, BranchContentionKey(t, c, 0, k), nullptr);
-            SIRI_CHECK(got.ok() && got->has_value());
-          }
-        }
-      }
-
-      printf("  %8.1f|%6.0f|%4.1f|%4.1f", commits_per_sec, bytes_per_rpc,
-             syscalls_per_commit, commits_per_fsync);
-      fflush(stdout);
-      char line[320];
-      snprintf(line, sizeof(line),
-               "#json socket_commit structure=%s threads=%d gc=on "
-               "transport=socket commits_per_sec=%.1f bytes_per_rpc=%.0f "
-               "syscalls_per_commit=%.2f commits_per_fsync=%.2f "
-               "window_us=%llu",
-               indexes[i].name.c_str(), threads, commits_per_sec,
-               bytes_per_rpc, syscalls_per_commit, commits_per_fsync,
-               static_cast<unsigned long long>(window_micros));
-      machine_lines.emplace_back(line);
-      clients.clear();  // closes the connections before the next cell
-    }
-    printf("\n");
-  }
-  for (const std::string& line : machine_lines) printf("%s\n", line.c_str());
-
-  server.Stop();
-  std::remove(store_path.c_str());
-}
-
-/// The pipelined wire boundary, isolated: K writer threads SHARING ONE
-/// SocketTransport, swept over the pipelining depth (max_inflight) and
-/// the combiner-aware cache push. The depth-1 row is the serialized
-/// baseline — one outstanding RPC, exactly the pre-pipelining channel —
-/// so the sweep reads as "what did depth buy on the same connection":
-/// commits/s up, syscalls/commit down (the reader drains batched
-/// responses per recv, the server flushes coalesced writev rounds).
-/// The push rows additionally report pushed nodes per commit and the
-/// losing-committer Get RPCs they displaced (remote_gets/commit).
-/// Structure: pos only — the boundary, not the index, is under test.
-inline void RunSocketPipelineTable(uint64_t n, int threads,
-                                   int commits_per_writer,
-                                   const std::vector<int>& depths,
-                                   uint64_t window_micros) {
-  printf("\n[socket pipeline] REAL loopback TCP, %d writers sharing ONE "
-         "connection, n=%llu records, window=%lluus — depth 1 is the "
-         "serialized baseline\n",
-         threads, static_cast<unsigned long long>(n),
-         static_cast<unsigned long long>(window_micros));
-  printf("%8s %6s %10s %10s %10s %10s %10s\n", "depth", "push", "cmt/s",
-         "B/rpc", "sys/cmt", "push/cmt", "rget/cmt");
-
-  YcsbGenerator gen(1);
-  auto records = gen.GenerateRecords(n);
-
-  const std::string store_path =
-      "/tmp/siri_bench_pipeline_" + std::to_string(getpid()) + ".log";
-  std::remove(store_path.c_str());
-  std::shared_ptr<FileNodeStore> server_store;
-  SIRI_CHECK(FileNodeStore::Open(store_path, &server_store).ok());
-
-  GroupCommitOptions gc;
-  gc.window_micros = window_micros;
-  gc.merge.max_retries = std::numeric_limits<int>::max();
-  ForkbaseServlet servlet(server_store, gc);
-  PosTree server_index(server_store);
-  const Hash base_root = LoadRecords(&server_index, records);
-  servlet.RegisterIndex(std::make_unique<PosTree>(server_store));
-
-  net::ServerOptions sopts;
-  sopts.group_flush_window_micros = window_micros;
-  net::SiriServer server(&servlet, sopts);
-  SIRI_CHECK(server.Listen(0).ok());
-  SIRI_CHECK(server.Start().ok());
-  const int port = server.port();
-
-  // Cells: every depth with push off, plus the deepest depth with push on
-  // (push is flag-gated precisely so the off rows reproduce the PR 7
-  // baseline series).
-  std::vector<std::pair<int, bool>> cells;
-  for (int d : depths) cells.push_back({d, false});
-  if (!depths.empty()) cells.push_back({depths.back(), true});
-
-  std::vector<std::string> machine_lines;
-  for (const auto& [depth, push] : cells) {
-    const std::string branch = std::string("pipe-d") + std::to_string(depth) +
-                               (push ? "-push" : "");
-    {
-      auto init =
-          servlet.branches()->CommitOnBranch(branch, base_root, "init", "base");
-      SIRI_CHECK(init.ok());
-    }
-
-    net::SocketTransport::Options topts;
-    topts.max_inflight = depth;
-    topts.cache_push = push;
-    std::shared_ptr<net::SocketTransport> transport;
-    SIRI_CHECK(
-        net::SocketTransport::Connect("127.0.0.1", port, &transport, topts)
-            .ok());
-    auto client_store =
-        std::make_shared<ForkbaseClientStore>(transport, 32 << 20);
-    auto pack = PackVersions(server_index, {base_root});
-    SIRI_CHECK(pack.ok());
-    SIRI_CHECK(UnpackVersions(*pack, client_store.get()).ok());
-
-    const auto warm = transport->stats();
-    const auto warm_store = client_store->remote_stats();
-
-    std::atomic<bool> go{false};
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        PosTree index(client_store);
-        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-        for (int c = 0; c < commits_per_writer; ++c) {
-          auto head = transport->Head(branch);
-          SIRI_CHECK(head.ok());
-          auto node = client_store->Get(*head);
-          SIRI_CHECK(node.ok());
-          auto head_commit = Commit::Decode(**node);
-          SIRI_CHECK(head_commit.ok());
-          std::vector<KV> batch;
-          const BranchContentionConfig defaults;
-          batch.reserve(defaults.upload_kvs);
-          for (size_t k = 0; k < defaults.upload_kvs; ++k) {
-            batch.push_back(
-                KV{BranchContentionKey(t, c, 0, k), "v" + std::to_string(c)});
-          }
-          auto next = index.PutBatch(head_commit->root, std::move(batch));
-          SIRI_CHECK(next.ok());
-          net::PublishRequest pub;
-          pub.structure = "pos";
-          pub.branch = branch;
-          pub.new_root = *next;
-          pub.author = "w" + std::to_string(t);
-          pub.message = "c" + std::to_string(c);
-          pub.expected_head = *head;
-          auto landed = transport->Publish(pub);
-          SIRI_CHECK(landed.ok());
-        }
-      });
-    }
-    Timer timer;
-    go.store(true, std::memory_order_release);
-    for (auto& w : workers) w.join();
-    const double secs = timer.ElapsedSeconds();
-
-    const auto total = transport->stats();
-    const auto total_store = client_store->remote_stats();
-    const uint64_t rpcs = total.rpcs - warm.rpcs;
-    const uint64_t bytes = (total.bytes_sent + total.bytes_received) -
-                           (warm.bytes_sent + warm.bytes_received);
-    const uint64_t syscalls = total.syscalls - warm.syscalls;
-    const uint64_t pushed = total.pushed_nodes - warm.pushed_nodes;
-    const uint64_t rgets = total_store.remote_gets - warm_store.remote_gets;
-    const uint64_t commits =
-        static_cast<uint64_t>(threads) * commits_per_writer;
-    const double commits_per_sec =
-        secs == 0 ? 0 : static_cast<double>(commits) / secs;
-    const double bytes_per_rpc =
-        rpcs == 0 ? 0 : static_cast<double>(bytes) / rpcs;
-    const double syscalls_per_commit =
-        commits == 0 ? 0 : static_cast<double>(syscalls) / commits;
-    const double pushed_per_commit =
-        commits == 0 ? 0 : static_cast<double>(pushed) / commits;
-    const double rgets_per_commit =
-        commits == 0 ? 0 : static_cast<double>(rgets) / commits;
-
-    // Zero lost updates on the shared pipelined connection, verified
-    // server-side before the numbers are reported.
-    auto head = servlet.branches()->Head(branch);
-    SIRI_CHECK(head.ok());
-    auto head_commit = servlet.branches()->ReadCommit(*head);
-    SIRI_CHECK(head_commit.ok());
-    const BranchContentionConfig defaults;
-    for (int t = 0; t < threads; ++t) {
-      for (int c = 0; c < commits_per_writer; ++c) {
-        for (size_t k = 0; k < defaults.upload_kvs; ++k) {
-          auto got = server_index.Get(head_commit->root,
-                                      BranchContentionKey(t, c, 0, k), nullptr);
-          SIRI_CHECK(got.ok() && got->has_value());
-        }
-      }
-    }
-
-    printf("%8d %6s %10.1f %10.0f %10.2f %10.2f %10.2f\n", depth,
-           push ? "on" : "off", commits_per_sec, bytes_per_rpc,
-           syscalls_per_commit, pushed_per_commit, rgets_per_commit);
-    fflush(stdout);
-    char line[360];
-    snprintf(line, sizeof(line),
-             "#json socket_pipeline structure=pos threads=%d "
-             "transport=socket max_inflight=%d cache_push=%s "
-             "commits_per_sec=%.1f bytes_per_rpc=%.0f "
-             "syscalls_per_commit=%.2f pushed_nodes_per_commit=%.2f "
-             "remote_gets_per_commit=%.2f window_us=%llu",
-             threads, depth, push ? "on" : "off", commits_per_sec,
-             bytes_per_rpc, syscalls_per_commit, pushed_per_commit,
-             rgets_per_commit, static_cast<unsigned long long>(window_micros));
-    machine_lines.emplace_back(line);
-  }
-  for (const std::string& line : machine_lines) printf("%s\n", line.c_str());
-
-  server.Stop();
-  std::remove(store_path.c_str());
-}
-
-/// Goodput under injected wire faults: the socket commit pipeline re-run
-/// with a client-side FaultInjector (net/fault.h) sabotaging a swept
-/// fraction of wire attempts — resets before/after send, torn frames,
-/// bit flips, delays — while the resilient transport retries, reconnects,
-/// and resolves lost publish acks. Two honesty rules:
-///
-///   - the row at rate 0.00 is the healthy baseline; every other row's
-///     commits/s is GOODPUT (acked commits only) and is expected to sag
-///     as the rate climbs — the interesting number is how gracefully;
-///   - the retry/reconnect/deadline-miss counters are printed next to the
-///     goodput because nonzero values are the flag that faults shaped the
-///     numbers (net/transport.h); the run aborts if any acked commit's
-///     keys are missing at the final head or the executed-publish
-///     accounting disagrees with the acked count (a lost or duplicated
-///     commit is a correctness bug, not a slow cell).
-inline void RunSocketChaosTable(uint64_t n, int threads,
-                                int commits_per_writer,
-                                const std::vector<double>& fault_rates,
-                                uint64_t window_micros) {
-  printf("\n[socket chaos goodput] REAL loopback TCP via in-process "
-         "siri-server, file-backed store, pos structure, %d writers x %d "
-         "commits, n=%llu, window=%lluus — client-side fault injection, "
-         "acked-commit goodput\n",
-         threads, commits_per_writer, static_cast<unsigned long long>(n),
-         static_cast<unsigned long long>(window_micros));
-  printf("%10s %12s %10s %10s %12s %10s\n", "fault_rate", "goodput(c/s)",
-         "retries", "reconnects", "ddl_misses", "injected");
-
-  YcsbGenerator gen(1);
-  auto records = gen.GenerateRecords(n);
-
-  const std::string store_path =
-      "/tmp/siri_bench_chaos_" + std::to_string(getpid()) + ".log";
-  std::remove(store_path.c_str());
-  std::shared_ptr<FileNodeStore> server_store;
-  SIRI_CHECK(FileNodeStore::Open(store_path, &server_store).ok());
-
-  GroupCommitOptions gc;
-  gc.window_micros = window_micros;
-  gc.merge.max_retries = std::numeric_limits<int>::max();
-  ForkbaseServlet servlet(server_store, gc);
-  auto loaded = std::make_unique<PosTree>(server_store);
-  const Hash base_root = LoadRecords(loaded.get(), records);
-  servlet.RegisterIndex(std::make_unique<PosTree>(server_store));
-
-  net::ServerOptions sopts;
-  sopts.group_flush_window_micros = window_micros;
-  net::SiriServer server(&servlet, sopts);
-  SIRI_CHECK(server.Listen(0).ok());
-  SIRI_CHECK(server.Start().ok());
-  const int port = server.port();
-
-  std::vector<std::string> machine_lines;
-  auto pack = PackVersions(*loaded, {base_root});
-  SIRI_CHECK(pack.ok());
-  for (size_t row = 0; row < fault_rates.size(); ++row) {
-    const double rate = fault_rates[row];
-    const std::string branch = "pos-chaos-r" + std::to_string(row);
-    {
-      auto init =
-          servlet.branches()->CommitOnBranch(branch, base_root, "init", "base");
-      SIRI_CHECK(init.ok());
-    }
-
-    struct ChaosClient {
-      std::shared_ptr<net::FaultInjector> fault;
-      std::shared_ptr<net::SocketTransport> transport;
-      std::shared_ptr<ForkbaseClientStore> store;
-      std::unique_ptr<ImmutableIndex> index;
-    };
-    std::vector<ChaosClient> clients(threads);
-    for (int t = 0; t < threads; ++t) {
-      net::FaultInjector::RandomConfig cfg;
-      cfg.fault_rate = rate;
-      cfg.delay_micros = 1000;
-      clients[t].fault = std::make_shared<net::FaultInjector>(
-          /*seed=*/0x5151u + row * 64 + static_cast<uint64_t>(t), cfg);
-      net::SocketTransport::Options topts;
-      topts.rpc_timeout_ms = 10000;
-      topts.retry.max_attempts = 10;
-      topts.retry.backoff_init_ms = 2;
-      topts.retry.backoff_max_ms = 50;
-      topts.retry.jitter_seed = 0x7e57u + static_cast<uint64_t>(t);
-      topts.fault = clients[t].fault;
-      SIRI_CHECK(net::SocketTransport::Connect("127.0.0.1", port,
-                                               &clients[t].transport, topts)
-                     .ok());
-      clients[t].store = std::make_shared<ForkbaseClientStore>(
-          clients[t].transport, 32 << 20);
-      clients[t].index = loaded->WithStore(clients[t].store);
-      SIRI_CHECK(UnpackVersions(*pack, clients[t].store.get()).ok());
-    }
-    const uint64_t acked_before =
-        servlet.combiner()->stats().solo_commits +
-        servlet.combiner()->stats().combined_commits +
-        servlet.combiner()->stats().fallbacks;
-
-    std::atomic<bool> go{false};
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        auto& cl = clients[t];
-        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-        for (int c = 0; c < commits_per_writer; ++c) {
-          auto head = cl.transport->Head(branch);
-          SIRI_CHECK(head.ok());
-          auto node = cl.store->Get(*head);
-          SIRI_CHECK(node.ok());
-          auto head_commit = Commit::Decode(**node);
-          SIRI_CHECK(head_commit.ok());
-          std::vector<KV> batch;
-          const BranchContentionConfig defaults;
-          batch.reserve(defaults.upload_kvs);
-          for (size_t k = 0; k < defaults.upload_kvs; ++k) {
-            batch.push_back(
-                KV{BranchContentionKey(t, c, row, k), "v" + std::to_string(c)});
-          }
-          auto next = cl.index->PutBatch(head_commit->root, std::move(batch));
-          SIRI_CHECK(next.ok());
-          net::PublishRequest pub;
-          pub.structure = "pos";
-          pub.branch = branch;
-          pub.new_root = *next;
-          pub.author = "w" + std::to_string(t);
-          pub.message = "c" + std::to_string(c);
-          pub.expected_head = *head;
-          auto landed = cl.transport->Publish(pub);
-          SIRI_CHECK(landed.ok());
-        }
-      });
-    }
-    Timer timer;
-    go.store(true, std::memory_order_release);
-    for (auto& w : workers) w.join();
-    const double secs = timer.ElapsedSeconds();
-
-    uint64_t retries = 0, reconnects = 0, deadline_misses = 0, injected = 0;
-    for (auto& c : clients) {
-      const auto s = c.transport->stats();
-      retries += s.retries;
-      reconnects += s.reconnects;
-      deadline_misses += s.deadline_misses;
-      injected += c.fault->stats().injected;
-    }
-    const uint64_t commits =
-        static_cast<uint64_t>(threads) * commits_per_writer;
-    const double goodput =
-        secs == 0 ? 0 : static_cast<double>(commits) / secs;
-
-    // Zero lost acked updates, and exactly-once execution: the combiner's
-    // executed-publish accounting must equal the acked count — a replayed
-    // lost-ack publish that double-applied would push it past.
-    auto head = servlet.branches()->Head(branch);
-    SIRI_CHECK(head.ok());
-    auto head_commit = servlet.branches()->ReadCommit(*head);
-    SIRI_CHECK(head_commit.ok());
-    const BranchContentionConfig defaults;
-    for (int t = 0; t < threads; ++t) {
-      for (int c = 0; c < commits_per_writer; ++c) {
-        for (size_t k = 0; k < defaults.upload_kvs; ++k) {
-          auto got = loaded->Get(head_commit->root,
-                                 BranchContentionKey(t, c, row, k), nullptr);
-          SIRI_CHECK(got.ok() && got->has_value());
-        }
-      }
-    }
-    const uint64_t acked_after = servlet.combiner()->stats().solo_commits +
-                                 servlet.combiner()->stats().combined_commits +
-                                 servlet.combiner()->stats().fallbacks;
-    SIRI_CHECK(acked_after - acked_before == commits);
-
-    printf("%10.2f %12.1f %10llu %10llu %12llu %10llu\n", rate, goodput,
-           static_cast<unsigned long long>(retries),
-           static_cast<unsigned long long>(reconnects),
-           static_cast<unsigned long long>(deadline_misses),
-           static_cast<unsigned long long>(injected));
-    fflush(stdout);
-    char line[320];
-    snprintf(line, sizeof(line),
-             "#json socket_chaos structure=pos threads=%d transport=socket "
-             "fault_rate=%.2f goodput_cps=%.1f retries=%llu reconnects=%llu "
-             "deadline_misses=%llu injected=%llu window_us=%llu",
-             threads, rate, goodput, static_cast<unsigned long long>(retries),
-             static_cast<unsigned long long>(reconnects),
-             static_cast<unsigned long long>(deadline_misses),
-             static_cast<unsigned long long>(injected),
-             static_cast<unsigned long long>(window_micros));
-    machine_lines.emplace_back(line);
-    clients.clear();  // closes the connections before the next row
-  }
-  for (const std::string& line : machine_lines) printf("%s\n", line.c_str());
-
-  server.Stop();
-  std::remove(store_path.c_str());
-}
-
-/// Read-only degradation under a disk fault: the socket commit pipeline
-/// with the server's file-backed store sitting on an io::FaultEnv. Phase 1
-/// runs the healthy publish loop; then the "disk fills" (every further
-/// write op returns ENOSPC) and phase 2 asserts the failure semantics
-/// end-to-end over the real wire:
-///
-///   - every write a client attempts after the trip fails with the TYPED
-///     degraded reject (net::IsDegradedReject) — never a raw store error,
-///     and never an ack;
-///   - degraded rejects fail FAST: the transport's retry counter must not
-///     move after the trip (retrying a full disk only burns the window);
-///   - reads keep serving — Head and node fetches succeed throughout
-///     phase 2 against the degraded server;
-///   - zero lost acked commits: the head recorded at the trip never moves
-///     again, and every key acked in phase 1 is still readable under it.
-inline void RunSocketDiskFaultTable(uint64_t n, int threads,
-                                    int commits_per_writer,
-                                    uint64_t window_micros) {
-  printf("\n[socket disk-fault degradation] REAL loopback TCP via "
-         "in-process siri-server, file-backed store on a FaultEnv, pos "
-         "structure, %d writers x %d commits then ENOSPC, n=%llu, "
-         "window=%lluus\n",
-         threads, commits_per_writer, static_cast<unsigned long long>(n),
-         static_cast<unsigned long long>(window_micros));
-  printf("%10s %12s %14s %16s %12s\n", "acked", "goodput(c/s)",
-         "typed_rejects", "degraded_rejects", "lost_acked");
-
-  YcsbGenerator gen(1);
-  auto records = gen.GenerateRecords(n);
-
-  const std::string store_path =
-      "/tmp/siri_bench_diskfault_" + std::to_string(getpid()) + ".log";
-  std::remove(store_path.c_str());
-  io::FaultEnv fault_env(io::Env::Default(), io::FaultEnv::Mode::kPassthrough);
-  std::shared_ptr<FileNodeStore> server_store;
-  SIRI_CHECK(FileNodeStore::Open(&fault_env, store_path, &server_store).ok());
-
-  GroupCommitOptions gc;
-  gc.window_micros = window_micros;
-  gc.merge.max_retries = std::numeric_limits<int>::max();
-  ForkbaseServlet servlet(server_store, gc);
-  auto loaded = std::make_unique<PosTree>(server_store);
-  const Hash base_root = LoadRecords(loaded.get(), records);
-  servlet.RegisterIndex(std::make_unique<PosTree>(server_store));
-
-  net::ServerOptions sopts;
-  sopts.group_flush_window_micros = window_micros;
-  net::SiriServer server(&servlet, sopts);
-  SIRI_CHECK(server.Listen(0).ok());
-  SIRI_CHECK(server.Start().ok());
-  const int port = server.port();
-
-  const std::string branch = "pos-diskfault";
-  {
-    auto init =
-        servlet.branches()->CommitOnBranch(branch, base_root, "init", "base");
-    SIRI_CHECK(init.ok());
-  }
-
-  struct DiskFaultClient {
-    std::shared_ptr<net::SocketTransport> transport;
-    std::shared_ptr<ForkbaseClientStore> store;
-    std::unique_ptr<ImmutableIndex> index;
-  };
-  std::vector<DiskFaultClient> clients(threads);
-  auto pack = PackVersions(*loaded, {base_root});
-  SIRI_CHECK(pack.ok());
-  for (int t = 0; t < threads; ++t) {
-    net::SocketTransport::Options topts;
-    topts.rpc_timeout_ms = 10000;
-    topts.retry.max_attempts = 10;
-    topts.retry.backoff_init_ms = 2;
-    topts.retry.backoff_max_ms = 50;
-    topts.retry.jitter_seed = 0xd15cu + static_cast<uint64_t>(t);
-    SIRI_CHECK(net::SocketTransport::Connect("127.0.0.1", port,
-                                             &clients[t].transport, topts)
-                   .ok());
-    clients[t].store =
-        std::make_shared<ForkbaseClientStore>(clients[t].transport, 32 << 20);
-    clients[t].index = loaded->WithStore(clients[t].store);
-    SIRI_CHECK(UnpackVersions(*pack, clients[t].store.get()).ok());
-  }
-
-  // Phase 1: the healthy publish loop — every commit here must be acked.
-  const int row = 0;
-  std::atomic<bool> go{false};
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      auto& cl = clients[t];
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      for (int c = 0; c < commits_per_writer; ++c) {
-        auto head = cl.transport->Head(branch);
-        SIRI_CHECK(head.ok());
-        auto node = cl.store->Get(*head);
-        SIRI_CHECK(node.ok());
-        auto head_commit = Commit::Decode(**node);
-        SIRI_CHECK(head_commit.ok());
-        std::vector<KV> batch;
-        const BranchContentionConfig defaults;
-        batch.reserve(defaults.upload_kvs);
-        for (size_t k = 0; k < defaults.upload_kvs; ++k) {
-          batch.push_back(
-              KV{BranchContentionKey(t, c, row, k), "v" + std::to_string(c)});
-        }
-        auto next = cl.index->PutBatch(head_commit->root, std::move(batch));
-        SIRI_CHECK(next.ok());
-        net::PublishRequest pub;
-        pub.structure = "pos";
-        pub.branch = branch;
-        pub.new_root = *next;
-        pub.author = "w" + std::to_string(t);
-        pub.message = "c" + std::to_string(c);
-        pub.expected_head = *head;
-        auto landed = cl.transport->Publish(pub);
-        SIRI_CHECK(landed.ok());
-      }
-    });
-  }
-  Timer timer;
-  go.store(true, std::memory_order_release);
-  for (auto& w : workers) w.join();
-  const double secs = timer.ElapsedSeconds();
-  const uint64_t acked = static_cast<uint64_t>(threads) * commits_per_writer;
-  const double goodput = secs == 0 ? 0 : static_cast<double>(acked) / secs;
-
-  // The trip: from the next mutating op on, the disk is full. The head at
-  // this instant is the last acked state — it must never move again.
-  auto acked_head = servlet.branches()->Head(branch);
-  SIRI_CHECK(acked_head.ok());
-  uint64_t retries_at_trip = 0;
-  for (auto& c : clients) retries_at_trip += c.transport->stats().retries;
-  fault_env.set_enospc_after_op(fault_env.op_count());
-
-  // Phase 2: every client keeps trying to write against the full disk.
-  // The writes go through the raw transport, NOT ForkbaseClientStore —
-  // the client store treats a failed upload as fatal (NodeStore::Put has
-  // no failure channel), which is exactly right for an application but
-  // wrong for a harness that wants to LOOK at the reject. Order matters:
-  // a bare upload is fire-and-forget (durability is only claimed at
-  // publish), so the op that TRIPS the latch must be a Publish — its
-  // group flush fails, the raw ENOSPC is remapped by the server, and
-  // every write after it (publish or upload alike) is rejected up front.
-  // All of them must surface as the SAME typed degraded reject. Reads
-  // interleave and must keep working.
-  std::atomic<uint64_t> typed_rejects{0};
-  workers.clear();
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      auto& cl = clients[t];
-      auto expect_degraded = [&](const Status& failure) {
-        SIRI_CHECK(!failure.ok());  // a full disk must never ack
-        SIRI_CHECK(failure.IsResourceExhausted());
-        SIRI_CHECK(net::IsDegradedReject(failure));
-        typed_rejects.fetch_add(1, std::memory_order_relaxed);
-      };
-      for (int a = 0; a < 2; ++a) {
-        auto head = cl.transport->Head(branch);
-        SIRI_CHECK(head.ok());  // reads serve while degraded
-        auto node = cl.store->Get(*head);
-        SIRI_CHECK(node.ok());
-        auto head_commit = Commit::Decode(**node);
-        SIRI_CHECK(head_commit.ok());
-
-        net::PublishRequest pub;
-        pub.structure = "pos";
-        pub.branch = branch;
-        pub.new_root = head_commit->root;
-        pub.author = "w" + std::to_string(t);
-        pub.message = "overflow";
-        pub.expected_head = *head;
-        expect_degraded(cl.transport->Publish(pub).status());
-
-        // By now this client has seen a degraded reject, so the sticky
-        // latch is set server-side: even a fire-and-forget upload is
-        // answered with the typed reject instead of silently dropped.
-        const std::string payload = "overflow-" + std::to_string(t) + "-" +
-                                    std::to_string(a);
-        NodeBatch batch;
-        batch.push_back(NodeRecord{
-            Sha256::Digest(payload),
-            std::make_shared<const std::string>(payload)});
-        expect_degraded(cl.transport->PutMany(batch));
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-
-  // Degraded rejects fail fast: retrying a full disk cannot help, so the
-  // transports' retry counters must not have moved during phase 2.
-  uint64_t retries_after = 0;
-  for (auto& c : clients) retries_after += c.transport->stats().retries;
-  SIRI_CHECK(retries_after == retries_at_trip);
-
-  // Zero lost acked commits: the head never moved past the trip point and
-  // every phase-1 key is still readable under it, server-side.
-  auto final_head = servlet.branches()->Head(branch);
-  SIRI_CHECK(final_head.ok());
-  SIRI_CHECK(*final_head == *acked_head);
-  auto head_commit = servlet.branches()->ReadCommit(*final_head);
-  SIRI_CHECK(head_commit.ok());
-  uint64_t lost = 0;
-  const BranchContentionConfig defaults;
-  for (int t = 0; t < threads; ++t) {
-    for (int c = 0; c < commits_per_writer; ++c) {
-      for (size_t k = 0; k < defaults.upload_kvs; ++k) {
-        auto got = loaded->Get(head_commit->root,
-                               BranchContentionKey(t, c, row, k), nullptr);
-        if (!got.ok() || !got->has_value()) ++lost;
-      }
-    }
-  }
-  SIRI_CHECK(lost == 0);
-
-  const auto st = server.stats();
-  SIRI_CHECK(st.degraded);
-  SIRI_CHECK(st.degraded_cause.find("enospc") != std::string::npos);
-  SIRI_CHECK(st.degraded_rejects >= 1);
-
-  printf("%10llu %12.1f %14llu %16llu %12llu\n",
-         static_cast<unsigned long long>(acked), goodput,
-         static_cast<unsigned long long>(typed_rejects.load()),
-         static_cast<unsigned long long>(st.degraded_rejects),
-         static_cast<unsigned long long>(lost));
-  printf("#json socket_disk_fault structure=pos threads=%d transport=socket "
-         "fault=enospc acked=%llu goodput_cps=%.1f typed_rejects=%llu "
-         "degraded_rejects=%llu lost_acked=%llu window_us=%llu\n",
-         threads, static_cast<unsigned long long>(acked), goodput,
-         static_cast<unsigned long long>(typed_rejects.load()),
-         static_cast<unsigned long long>(st.degraded_rejects),
-         static_cast<unsigned long long>(lost),
-         static_cast<unsigned long long>(window_micros));
-
-  clients.clear();
-  server.Stop();
-  std::remove(store_path.c_str());
 }
 
 /// Printf a header line like the paper's figure captions.

@@ -205,66 +205,6 @@ void RunGroupCommitSection(uint64_t scale,
                       /*window_micros=*/500);
 }
 
-// Socket transport: the same group-commit regime through the REAL
-// boundary — loopback TCP to an in-process siri-server over a file-backed
-// store. Reported per cell: measured commits/s, bytes/RPC, syscalls per
-// commit, and real commits-per-fsync. These are a different quantity from
-// the slept-RTT in-process numbers and are labeled as such.
-void RunSocketCommitSection(uint64_t scale,
-                            const std::vector<int>& thread_counts,
-                            bool smoke = false) {
-  RunSocketCommitTable((smoke ? 500 : 4000) * scale,
-                       /*mbt_buckets=*/smoke ? 256 : 2048, thread_counts,
-                       /*commits_per_writer=*/smoke ? 3 : 24,
-                       /*window_micros=*/500);
-}
-
-// Pipelined wire boundary: K writers sharing ONE connection, swept over
-// the pipelining depth (depth 1 = the serialized baseline) plus a
-// cache-push row at the deepest depth. The acceptance read: depth >= 4
-// shows higher commits/s and strictly lower syscalls/commit than depth 1.
-void RunSocketPipelineSection(uint64_t scale,
-                              const std::vector<int>& write_threads,
-                              bool smoke = false) {
-  const int threads = write_threads.empty() ? 8 : write_threads.back();
-  const std::vector<int> depths =
-      smoke ? std::vector<int>{1, 8} : std::vector<int>{1, 4, 8};
-  RunSocketPipelineTable((smoke ? 500 : 4000) * scale, threads,
-                         /*commits_per_writer=*/smoke ? 3 : 16, depths,
-                         /*window_micros=*/500);
-}
-
-// Chaos goodput: the socket commit pipeline re-run under client-side
-// fault injection at a swept rate. Acked-commit goodput per rate next to
-// the retry/reconnect/deadline counters that flag how it was earned; the
-// run aborts on any lost or duplicated acked commit.
-void RunSocketChaosSection(uint64_t scale,
-                           const std::vector<int>& write_threads,
-                           bool smoke = false) {
-  const int threads = write_threads.empty() ? 4 : write_threads.back();
-  const std::vector<double> rates =
-      smoke ? std::vector<double>{0.0, 0.05}
-            : std::vector<double>{0.0, 0.02, 0.05, 0.10};
-  RunSocketChaosTable((smoke ? 500 : 4000) * scale, threads,
-                      /*commits_per_writer=*/smoke ? 3 : 16, rates,
-                      /*window_micros=*/500);
-}
-
-// Disk-fault degradation: the socket commit pipeline with the server's
-// file-backed store on an io::FaultEnv. Half-way marker semantics: a
-// healthy publish phase, then ENOSPC on every further write op. The
-// acceptance read: every post-trip write fails with the typed degraded
-// reject (no retry burn), reads keep serving, and zero acked commits are
-// lost — the run aborts otherwise.
-void RunSocketDiskFaultSection(uint64_t scale,
-                               const std::vector<int>& write_threads,
-                               bool smoke = false) {
-  const int threads = write_threads.empty() ? 4 : write_threads.back();
-  RunSocketDiskFaultTable((smoke ? 500 : 4000) * scale, threads,
-                          /*commits_per_writer=*/smoke ? 3 : 16,
-                          /*window_micros=*/500);
-}
-
 // Multi-client read scaling: K client threads, each with its own cache,
 // reading through one servlet. Reported per structure: aggregate kops/s
 // and mean cache hit ratio at each thread count.
@@ -316,10 +256,6 @@ int main(int argc, char** argv) {
   const bool branch_commits_only = HasFlag(argc, argv, "--branch-commits-only");
   const bool group_commit_only = HasFlag(argc, argv, "--group-commit-only");
   const bool smoke = HasFlag(argc, argv, "--smoke");
-  const bool chaos = HasFlag(argc, argv, "--chaos");
-  const bool pipeline = HasFlag(argc, argv, "--pipeline");
-  const std::string transport = ParseTransportFlag(argc, argv);
-  const std::string disk_fault = ParseDiskFaultFlag(argc, argv);
   std::vector<uint64_t> sizes;
   for (uint64_t n : {10000, 20000, 40000, 80000}) sizes.push_back(n * scale);
   const uint64_t num_ops = 3000;
@@ -327,43 +263,6 @@ int main(int argc, char** argv) {
   const double write_ratios[] = {0.0, 0.5, 1.0};
 
   PrintHeader("Figure 6", "YCSB throughput (kops/s) across θ and write ratio");
-
-  if (transport == "socket") {
-    // The socket boundary is its own measurement regime (real loopback
-    // TCP, real fsyncs): it runs alone so its numbers can never be read
-    // as one series with the slept-RTT in-process sections.
-    if (disk_fault == "enospc") {
-      RunSocketDiskFaultSection(scale, write_threads, smoke);
-    } else if (chaos) {
-      RunSocketChaosSection(scale, write_threads, smoke);
-    } else if (pipeline) {
-      RunSocketPipelineSection(scale, write_threads, smoke);
-    } else {
-      RunSocketCommitSection(scale, write_threads, smoke);
-    }
-    return 0;
-  }
-  if (disk_fault != "none") {
-    fprintf(stderr,
-            "%s: --disk-fault requires --transport=socket (degradation is "
-            "asserted through the real wire)\n",
-            argv[0]);
-    return 2;
-  }
-  if (chaos) {
-    fprintf(stderr,
-            "%s: --chaos requires --transport=socket (faults are injected "
-            "into the real wire)\n",
-            argv[0]);
-    return 2;
-  }
-  if (pipeline) {
-    fprintf(stderr,
-            "%s: --pipeline requires --transport=socket (depth only exists "
-            "on the real wire)\n",
-            argv[0]);
-    return 2;
-  }
 
   if (smoke) {
     // Tiny end-to-end pass over every threaded section — the TSan CI

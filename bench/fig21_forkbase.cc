@@ -17,16 +17,6 @@ using namespace siri::bench;
 int main(int argc, char** argv) {
   const uint64_t scale = ParseScale(argc, argv);
   const std::vector<int> thread_counts = ParseThreadCounts(argc, argv);
-  // fig21's series are all simulated-RTT in-process numbers; a socket
-  // variant would be a different quantity. Refuse rather than mislabel
-  // (fig06 owns the socket regime).
-  if (ParseTransportFlag(argc, argv) != "inproc") {
-    fprintf(stderr,
-            "%s: --transport=socket is not supported by this figure; "
-            "use fig06_ycsb_throughput --transport=socket\n",
-            argv[0]);
-    return 2;
-  }
   std::vector<uint64_t> sizes;
   for (uint64_t n : {10000, 40000, 160000}) sizes.push_back(n * scale);
   const uint64_t num_ops = 3000;

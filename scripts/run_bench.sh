@@ -46,7 +46,7 @@ fi
 # The fast subset keeps the whole run around a minute on one core while
 # still touching every structure (throughput, diff, height, MBT breakdown,
 # parameter sweep) plus the multi-client read-scaling report.
-FAST_SUBSET="fig01_motivation fig09_tree_height fig13_mbt_breakdown tab03_parameters fig08_diff fig06_threads fig06_write_scaling fig06_branch_commits fig06_group_commit fig06_socket fig06_socket_pipeline"
+FAST_SUBSET="fig01_motivation fig09_tree_height fig13_mbt_breakdown tab03_parameters fig08_diff fig06_threads fig06_write_scaling fig06_branch_commits fig06_group_commit"
 
 if [ "$ALL" -eq 1 ]; then
   BENCHES=$(cd "$BENCH_DIR" && ls)
@@ -65,23 +65,12 @@ fi
 # fig06_group_commit = the group-commit publish pipeline sweep: the same
 # contended-branch regime with the combining commit queue off vs on
 # (aggregate commits/s, retries/commit, commits-per-fsync).
-# fig06_socket = the same group-commit regime through the REAL boundary:
-# loopback TCP to an in-process siri-server over a file-backed store
-# (measured commits/s, bytes/RPC, syscalls/commit, commits-per-fsync —
-# not comparable with the slept-RTT in-process rows, hence the transport
-# field recorded per entry).
-# fig06_socket_pipeline = the pipelined wire boundary isolated: writers
-# sharing ONE connection, pipelining depth swept 1 vs 8 plus a cache-push
-# row (commits/s, bytes/RPC, syscalls/commit, pushed nodes/commit — the
-# depth-1 row is the serialized pre-pipelining baseline).
 bench_cmdline() {
   case "$1" in
     fig06_threads)       echo "fig06_ycsb_throughput --threads=1,2,4,8 --threads-only" ;;
     fig06_write_scaling) echo "fig06_ycsb_throughput --write-threads=1,2,4,8 --write-scaling-only" ;;
     fig06_branch_commits) echo "fig06_ycsb_throughput --write-threads=1,2,4 --branch-commits-only" ;;
     fig06_group_commit)  echo "fig06_ycsb_throughput --write-threads=1,2,4,8 --group-commit-only" ;;
-    fig06_socket)        echo "fig06_ycsb_throughput --write-threads=1,2,4 --transport=socket" ;;
-    fig06_socket_pipeline) echo "fig06_ycsb_throughput --write-threads=8 --transport=socket --pipeline" ;;
     *)                   echo "$1" ;;
   esac
 }
@@ -94,20 +83,7 @@ bench_threads() {
     fig06_write_scaling) echo "1,2,4,8" ;;
     fig06_branch_commits) echo "1,2,4" ;;
     fig06_group_commit)  echo "1,2,4,8" ;;
-    fig06_socket)        echo "1,2,4" ;;
-    fig06_socket_pipeline) echo "8" ;;
     *)                   echo "" ;;
-  esac
-}
-
-# Which transport an entry's numbers crossed: "socket" rows measure real
-# loopback TCP; everything else simulates its round trips in-process.
-# Kept in the JSON so a trajectory diff can never compare across regimes.
-bench_transport() {
-  case "$1" in
-    fig06_socket)          echo "socket" ;;
-    fig06_socket_pipeline) echo "socket" ;;
-    *)                     echo "inproc" ;;
   esac
 }
 
@@ -154,41 +130,13 @@ for b in $BENCHES; do
         | grep -o 'commits_per_fsync=[0-9.]*' | cut -d= -f2 | sort -g | tail -1)
   window=$(grep -o 'window_us=[0-9]*' "$OUT_DIR/$b.txt" 2>/dev/null \
            | head -1 | cut -d= -f2)
-  # Socket-only measured-cost fields (the `#json ... transport=socket`
-  # lines): real serialized bytes per RPC and syscalls per commit.
-  bpr=$(grep -o 'transport=socket.*bytes_per_rpc=[0-9.]*' "$OUT_DIR/$b.txt" 2>/dev/null \
-        | grep -o 'bytes_per_rpc=[0-9.]*' | cut -d= -f2 | sort -g | tail -1)
-  spc=$(grep -o 'transport=socket.*syscalls_per_commit=[0-9.]*' "$OUT_DIR/$b.txt" 2>/dev/null \
-        | grep -o 'syscalls_per_commit=[0-9.]*' | cut -d= -f2 | sort -g | tail -1)
-  # Pipelined-boundary fields (the `#json socket_pipeline` lines): the
-  # deepest depth swept and the cache-push yield at that depth. The
-  # bytes/syscalls columns are re-pointed at the deepest cache_push=off
-  # row — the pipelining win itself; the generic max-pick above would
-  # record the depth-1 serialized baseline instead.
-  mi=$(grep -o 'max_inflight=[0-9]*' "$OUT_DIR/$b.txt" 2>/dev/null \
-       | cut -d= -f2 | sort -g | tail -1)
-  pnc=$(grep -o 'pushed_nodes_per_commit=[0-9.]*' "$OUT_DIR/$b.txt" 2>/dev/null \
-        | cut -d= -f2 | sort -g | tail -1)
-  if [ -n "$mi" ]; then
-    deep=$(grep -o 'max_inflight=[0-9]* cache_push=off.*' "$OUT_DIR/$b.txt" \
-             2>/dev/null | sort -t= -k2 -g | tail -1)
-    if [ -n "$deep" ]; then
-      bpr=$(echo "$deep" | grep -o 'bytes_per_rpc=[0-9.]*' | cut -d= -f2)
-      spc=$(echo "$deep" | grep -o 'syscalls_per_commit=[0-9.]*' | cut -d= -f2)
-    fi
-  fi
   {
     echo "    {"
     echo "      \"bench\": \"$b\","
     echo "      \"status\": \"$status\","
     echo "      \"threads\": \"$threads\","
-    echo "      \"transport\": \"$(bench_transport "$b")\","
     [ -n "$cpf" ] && echo "      \"commits_per_fsync\": $cpf,"
     [ -n "$window" ] && echo "      \"publish_window_micros\": $window,"
-    [ -n "$bpr" ] && echo "      \"bytes_per_rpc\": $bpr,"
-    [ -n "$spc" ] && echo "      \"syscalls_per_commit\": $spc,"
-    [ -n "$mi" ] && echo "      \"max_inflight\": $mi,"
-    [ -n "$pnc" ] && echo "      \"pushed_nodes_per_commit\": $pnc,"
     echo "      \"wall_seconds\": $secs,"
     echo "      \"output\": \"$OUT_DIR/$b.txt\""
     echo "    }"

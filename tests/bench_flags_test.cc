@@ -40,28 +40,8 @@ TEST(BenchFlagsTest, NoArgumentsIsClean) {
 TEST(BenchFlagsTest, EveryKnownFlagIsAccepted) {
   Argv a({"--scale=8", "--threads=1,2,4", "--write-threads=2", "--help",
           "--threads-only", "--write-scaling-only", "--branch-commits-only",
-          "--group-commit-only", "--smoke", "--transport=socket"});
+          "--group-commit-only", "--smoke"});
   EXPECT_EQ(FirstUnknownFlag(a.argc(), a.argv()), nullptr);
-}
-
-TEST(BenchFlagsTest, ParseTransportFlagDefaultsToInproc) {
-  Argv a({"--scale=2"});
-  EXPECT_EQ(ParseTransportFlag(a.argc(), a.argv()), "inproc");
-}
-
-TEST(BenchFlagsTest, ParseTransportFlagAcceptsBothTransports) {
-  Argv inproc({"--transport=inproc"});
-  EXPECT_EQ(ParseTransportFlag(inproc.argc(), inproc.argv()), "inproc");
-  Argv socket({"--transport=socket"});
-  EXPECT_EQ(ParseTransportFlag(socket.argc(), socket.argv()), "socket");
-}
-
-TEST(BenchFlagsDeathTest, ParseTransportFlagRejectsUnknownValue) {
-  // A misspelled transport must abort, not silently benchmark in-process
-  // and record the numbers under the wrong label.
-  Argv a({"--transport=sockte"});
-  EXPECT_EXIT(ParseTransportFlag(a.argc(), a.argv()),
-              ::testing::ExitedWithCode(2), "--transport must be");
 }
 
 TEST(BenchFlagsTest, ReturnsTheFirstUnknownFlag) {
@@ -100,9 +80,14 @@ TEST(BenchFlagsTest, ParseScaleStillParsesScale) {
 }
 
 TEST(BenchFlagsDeathTest, ParseScaleExitsNonZeroOnUnknownFlag) {
-  Argv a({"--sclae=8"});
-  EXPECT_EXIT(ParseScale(a.argc(), a.argv()), ::testing::ExitedWithCode(2),
-              "unrecognized argument '--sclae=8'");
+  // A typo, and the retired fig06 socket-mode flags: an old invocation
+  // must abort instead of silently running the in-process sections.
+  for (const std::string flag : {"--sclae=8", "--transport=socket", "--chaos",
+                                 "--pipeline", "--disk-fault=enospc"}) {
+    Argv a({flag});
+    EXPECT_EXIT(ParseScale(a.argc(), a.argv()), ::testing::ExitedWithCode(2),
+                "unrecognized argument '" + flag + "'");
+  }
 }
 
 }  // namespace

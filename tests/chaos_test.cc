@@ -15,10 +15,11 @@
 // The scripted tests pin one fault kind at one exact wire attempt, so
 // every classification branch (not-executed replay, ambiguous resolution,
 // policy exhaustion) is hit deterministically. ChaosProcessTest forks
-// real client processes with seeded random fault streams — the
-// chaos-labeled ctest entry re-runs it scaled up via SIRI_CHAOS=1.
-// Forked tests are excluded from the TSan job (ctest -E) like the other
-// multi-process suites.
+// real client processes with seeded random fault streams, and
+// ChaosThreadedTest runs the same client routine on threads of this
+// process — the chaos-labeled ctest entry re-runs both scaled up via
+// SIRI_CHAOS=1. Forked tests are excluded from the TSan job (ctest -E)
+// like the other multi-process suites; the threaded one runs under it.
 
 #include <gtest/gtest.h>
 
@@ -58,6 +59,7 @@ namespace {
 using net::FaultAction;
 using net::FaultInjector;
 using net::FaultKind;
+using testing_util::ExpectMonotonicSequences;
 using testing_util::MakeKvs;
 
 int64_t ElapsedMs(std::chrono::steady_clock::time_point since) {
@@ -817,30 +819,6 @@ TEST_F(ChaosServerTest, PublishLostAckResolvesUnderPipelinedConcurrentTraffic) {
   ASSERT_EQ(hammer(), 0);  // and the channel recovered to full depth
 }
 
-// --- in-order per-branch sequencing ------------------------------------
-
-/// Every commit reachable from \p head must carry a sequence strictly
-/// greater than each of its parents' — the per-branch in-order invariant
-/// the pipelined channel must not break.
-void ExpectMonotonicSequences(BranchManager* branches, const Hash& head) {
-  std::deque<Hash> frontier{head};
-  std::set<std::string> seen{head.ToHex()};
-  while (!frontier.empty()) {
-    const Hash h = frontier.front();
-    frontier.pop_front();
-    auto c = branches->ReadCommit(h);
-    ASSERT_TRUE(c.ok()) << c.status().ToString();
-    for (const Hash& p : c->parents) {
-      auto parent = branches->ReadCommit(p);
-      ASSERT_TRUE(parent.ok()) << parent.status().ToString();
-      EXPECT_LT(parent->sequence, c->sequence)
-          << "commit " << h.ToHex() << " does not dominate parent "
-          << p.ToHex();
-      if (seen.insert(p.ToHex()).second) frontier.push_back(p);
-    }
-  }
-}
-
 TEST(ServerDegradationTest, MaxConnectionsRejectIsTypedAndRecovers) {
   auto store = NewInMemoryNodeStore();
   ForkbaseServlet servlet(store);
@@ -993,7 +971,7 @@ TEST(ServerDegradationTest, DrainPersistsEveryAckedCommit) {
   std::remove(refs.c_str());
 }
 
-// --- forked chaos stress -----------------------------------------------
+// --- random-fault chaos stress: forked and threaded clients -------------
 
 /// Scaled up by the chaos-labeled ctest entry (SIRI_CHAOS=1); the default
 /// suite runs the small shape.
@@ -1002,10 +980,11 @@ bool ChaosHeavy() {
   return e != nullptr && e[0] == '1';
 }
 
-/// One forked client committing through a seeded random fault stream.
-/// Exit codes identify the failing step; exit 17 = a publish blew the
-/// latency bound (the "bounded latency" invariant).
-void RunChaosClient(int port, int id, int commits, double fault_rate) {
+/// One client committing through a seeded random fault stream; returns
+/// 0 on success or an exit code that identifies the failing step (17 = a
+/// publish blew the latency bound, the "bounded latency" invariant). Runs
+/// in a forked process or on a thread of the test process alike.
+int RunChaosClient(int port, int id, int commits, double fault_rate) {
   FaultInjector::RandomConfig cfg;
   cfg.fault_rate = fault_rate;
   cfg.delay_micros = 1000;
@@ -1020,7 +999,7 @@ void RunChaosClient(int port, int id, int commits, double fault_rate) {
       std::make_shared<FaultInjector>(0x2000u + static_cast<uint64_t>(id), cfg);
   std::shared_ptr<net::SocketTransport> t;
   if (!net::SocketTransport::Connect("127.0.0.1", port, &t, topts).ok()) {
-    _exit(10);
+    return 10;
   }
   auto client_store = std::make_shared<ForkbaseClientStore>(t, 8 << 20);
   PosTree index(client_store);
@@ -1031,19 +1010,19 @@ void RunChaosClient(int port, int id, int commits, double fault_rate) {
     auto head = t->Head("main");
     if (head.ok()) {
       auto node = client_store->Get(*head);
-      if (!node.ok()) _exit(16);
+      if (!node.ok()) return 16;
       auto commit = Commit::Decode(**node);
-      if (!commit.ok()) _exit(11);
+      if (!commit.ok()) return 11;
       base = commit->root;
       expected = *head;
     } else if (!head.status().IsNotFound()) {
-      _exit(12);
+      return 12;
     }
     const std::string key =
         "chaos" + std::to_string(id) + "/k" + std::to_string(c);
     auto root = index.PutBatch(base, {{key, "v" + std::to_string(c)}});
-    if (!root.ok()) _exit(13);
-    if (!client_store->Flush().ok()) _exit(14);
+    if (!root.ok()) return 13;
+    if (!client_store->Flush().ok()) return 14;
     net::PublishRequest pub;
     pub.structure = "pos";
     pub.branch = "main";
@@ -1052,10 +1031,46 @@ void RunChaosClient(int port, int id, int commits, double fault_rate) {
     pub.message = key;
     pub.expected_head = expected;
     auto published = t->Publish(pub);
-    if (!published.ok()) _exit(15);
-    if (ElapsedMs(started) > 30000) _exit(17);
+    if (!published.ok()) return 15;
+    if (ElapsedMs(started) > 30000) return 17;
   }
-  _exit(0);
+  return 0;
+}
+
+/// The three chaos invariants over the "main" branch after \p clients
+/// RunChaosClient runs of \p commits_each acked commits.
+void ExpectChaosInvariants(ForkbaseServlet* servlet, const NodeStorePtr& store,
+                           int clients, int commits_each) {
+  // Invariant 1 — zero lost acked updates: every client returned 0, so
+  // every one of its publishes was acked; every acked key must be in the
+  // final version.
+  auto head = servlet->branches()->Head("main");
+  ASSERT_TRUE(head.ok());
+  auto commit = servlet->branches()->ReadCommit(*head);
+  ASSERT_TRUE(commit.ok());
+  PosTree index(store);
+  for (int id = 0; id < clients; ++id) {
+    for (int c = 0; c < commits_each; ++c) {
+      const std::string key =
+          "chaos" + std::to_string(id) + "/k" + std::to_string(c);
+      auto got = index.Get(commit->root, key, nullptr);
+      ASSERT_TRUE(got.ok());
+      EXPECT_TRUE(got->has_value()) << "lost acked update: " << key;
+    }
+  }
+
+  // Invariant 2 — zero duplicated commits: each acked publish executed on
+  // the server exactly once. A lost-ack replay that double-applied would
+  // push the combiner's executed-publish count past the acked count; a
+  // wrongly-suppressed replay would fall short (and show up above as a
+  // lost update).
+  const uint64_t acked = static_cast<uint64_t>(clients * commits_each);
+  const CommitCombiner::Stats cs = servlet->combiner()->stats();
+  EXPECT_EQ(cs.solo_commits + cs.combined_commits + cs.fallbacks, acked);
+
+  // Invariant 3 — in-order per-branch sequencing: every commit dominates
+  // its parents.
+  ExpectMonotonicSequences(servlet->branches(), *head);
 }
 
 TEST(ChaosProcessTest, ForkedClientsCommitThroughRandomFaults) {
@@ -1076,7 +1091,7 @@ TEST(ChaosProcessTest, ForkedClientsCommitThroughRandomFaults) {
     ASSERT_GE(pid, 0);
     if (pid == 0) {
       close(listen_fd);
-      RunChaosClient(port, id, kCommitsEach, kFaultRate);
+      _exit(RunChaosClient(port, id, kCommitsEach, kFaultRate));
     }
     pids.push_back(pid);
   }
@@ -1094,37 +1109,38 @@ TEST(ChaosProcessTest, ForkedClientsCommitThroughRandomFaults) {
     ASSERT_TRUE(WIFEXITED(status));
     EXPECT_EQ(WEXITSTATUS(status), 0) << "chaos client failed";
   }
+  ExpectChaosInvariants(&servlet, store, kClients, kCommitsEach);
+  server.Stop();
+}
 
-  // Invariant 1 — zero lost acked updates: every client exited 0, so
-  // every one of its publishes was acked; every acked key must be in the
-  // final version.
-  auto head = servlet.branches()->Head("main");
-  ASSERT_TRUE(head.ok());
-  auto commit = servlet.branches()->ReadCommit(*head);
-  ASSERT_TRUE(commit.ok());
-  PosTree index(store);
+TEST(ChaosThreadedTest, ThreadedClientsCommitThroughRandomFaults) {
+  // The forked stress's routine on K threads of this process, so the
+  // sanitizers (TSan included, which cannot host the forked variant) see
+  // the retry/reconnect/publish-resolution paths race each other and the
+  // server's combiner inside one address space.
+  const int kClients = 4;
+  const int kCommitsEach = ChaosHeavy() ? 10 : 3;
+  const double kFaultRate = ChaosHeavy() ? 0.10 : 0.05;
+
+  auto store = NewInMemoryNodeStore();
+  ForkbaseServlet servlet(store);
+  servlet.RegisterIndex(std::make_unique<PosTree>(store));
+  net::SiriServer server(&servlet);
+  ASSERT_TRUE(server.Listen(0).ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  std::vector<int> codes(kClients, -1);
+  std::vector<std::thread> clients;
   for (int id = 0; id < kClients; ++id) {
-    for (int c = 0; c < kCommitsEach; ++c) {
-      const std::string key =
-          "chaos" + std::to_string(id) + "/k" + std::to_string(c);
-      auto got = index.Get(commit->root, key, nullptr);
-      ASSERT_TRUE(got.ok());
-      EXPECT_TRUE(got->has_value()) << "lost acked update: " << key;
-    }
+    clients.emplace_back([&, id] {
+      codes[id] = RunChaosClient(server.port(), id, kCommitsEach, kFaultRate);
+    });
   }
-
-  // Invariant 2 — zero duplicated commits: each acked publish executed on
-  // the server exactly once. A lost-ack replay that double-applied would
-  // push the combiner's executed-publish count past the acked count; a
-  // wrongly-suppressed replay would fall short (and show up above as a
-  // lost update).
-  const uint64_t acked = static_cast<uint64_t>(kClients * kCommitsEach);
-  const CommitCombiner::Stats cs = servlet.combiner()->stats();
-  EXPECT_EQ(cs.solo_commits + cs.combined_commits + cs.fallbacks, acked);
-
-  // Invariant 3 — in-order per-branch sequencing: every commit dominates
-  // its parents.
-  ExpectMonotonicSequences(servlet.branches(), *head);
+  for (auto& c : clients) c.join();
+  for (int id = 0; id < kClients; ++id) {
+    EXPECT_EQ(codes[id], 0) << "chaos client " << id << " failed";
+  }
+  ExpectChaosInvariants(&servlet, store, kClients, kCommitsEach);
   server.Stop();
 }
 

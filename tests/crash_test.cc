@@ -41,6 +41,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "crypto/sha256.h"
@@ -648,21 +649,34 @@ class DegradedServerTest : public ::testing::Test {
     net::ServerOptions opts;
     opts.worker_threads = 2;
     opts.group_flush_window_micros = 0;
+    Serve(opts);
+  }
+
+  void TearDown() override { server_->Stop(); }
+
+  /// (Re)starts the server over the fixture's servlet with \p opts and
+  /// connects client_ to it.
+  void Serve(const net::ServerOptions& opts) {
+    if (server_) server_->Stop();
     server_ = std::make_unique<net::SiriServer>(servlet_.get(), opts);
     ASSERT_TRUE(server_->Listen(0).ok());
     ASSERT_TRUE(server_->Start().ok());
+    client_ = Connect();
+    ASSERT_NE(client_, nullptr);
+  }
 
+  std::shared_ptr<net::SocketTransport> Connect() {
     net::SocketTransport::Options topts;
     topts.rpc_timeout_ms = 10000;
     topts.retry.max_attempts = 8;
     topts.retry.backoff_init_ms = 2;
     topts.retry.backoff_max_ms = 20;
-    ASSERT_TRUE(net::SocketTransport::Connect("127.0.0.1", server_->port(),
-                                              &client_, topts)
-                    .ok());
+    std::shared_ptr<net::SocketTransport> t;
+    const Status s =
+        net::SocketTransport::Connect("127.0.0.1", server_->port(), &t, topts);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    return t;
   }
-
-  void TearDown() override { server_->Stop(); }
 
   std::unique_ptr<FaultEnv> env_;
   NodeStorePtr store_;
@@ -735,6 +749,122 @@ TEST_F(DegradedServerTest, EnospcFlipsServerReadOnlyWithTypedRejects) {
 
   // And the unacked publish is really not there: the head never moved.
   EXPECT_EQ(servlet_->branches()->branch_stats(kBranch).commits, 1u);
+}
+
+TEST_F(DegradedServerTest, ConcurrentWritersAllGetTypedRejectAfterEnospc) {
+  // The disk fills while K clients keep writing, with the group-flush
+  // window the server ships with: the store's sticky latch and the
+  // server's degraded pre-check race in-flight group flushes, and every
+  // client must still see one typed reject, never an ack.
+  Serve(net::ServerOptions{});
+  constexpr int kClients = 4;
+  constexpr int kCommitsEach = 3;
+  auto key = [](int client, int commit) {
+    return "w" + std::to_string(client) + "/c" + std::to_string(commit);
+  };
+  PosTree server_index(store_);
+  auto base = server_index.PutBatch(server_index.EmptyRoot(), MakeKvs(8));
+  ASSERT_TRUE(base.ok());
+  ASSERT_TRUE(
+      servlet_->branches()->CommitOnBranch(kBranch, *base, "init", "base").ok());
+
+  struct Client {
+    std::shared_ptr<net::SocketTransport> transport;
+    std::shared_ptr<ForkbaseClientStore> store;
+  };
+  std::vector<Client> clients(kClients);
+  for (Client& c : clients) {
+    c.transport = Connect();
+    ASSERT_NE(c.transport, nullptr);
+    c.store = std::make_shared<ForkbaseClientStore>(c.transport, 8 << 20);
+  }
+  auto run_clients = [&](auto&& body) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kClients; ++t) threads.emplace_back(body, t);
+    for (auto& th : threads) th.join();
+  };
+
+  // Phase 1, healthy: every publish is acked.
+  run_clients([&](int t) {
+    PosTree index(clients[t].store);
+    for (int c = 0; c < kCommitsEach; ++c) {
+      auto landed = testing_util::CommitOnHead(
+          clients[t].transport.get(), &index, kBranch, {{key(t, c), "v"}},
+          "w" + std::to_string(t), key(t, c));
+      ASSERT_TRUE(landed.ok()) << landed.status().ToString();
+    }
+  });
+  ASSERT_FALSE(HasFailure());
+
+  // The trip: from the next mutating op on, the disk is full. The head at
+  // this instant is the last acked state.
+  auto acked_head = servlet_->branches()->Head(kBranch);
+  ASSERT_TRUE(acked_head.ok());
+  uint64_t retries_at_trip = 0;
+  for (const Client& c : clients) retries_at_trip += c.transport->stats().retries;
+  env_->set_enospc_after_op(env_->op_count());
+
+  // Phase 2: every client publishes first (a bare upload is not a
+  // durability point, so the op that trips the latch must be a publish),
+  // then uploads. Both must draw the typed degraded reject; reads keep
+  // serving over the same connection.
+  run_clients([&](int t) {
+    Client& cl = clients[t];
+    auto expect_degraded = [](const Status& s) {
+      EXPECT_TRUE(s.IsResourceExhausted()) << s.ToString();
+      EXPECT_TRUE(net::IsDegradedReject(s)) << s.ToString();
+    };
+    for (int a = 0; a < 2; ++a) {
+      auto head = cl.transport->Head(kBranch);
+      ASSERT_TRUE(head.ok()) << head.status().ToString();
+      EXPECT_EQ(*head, *acked_head);
+      auto node = cl.transport->Get(*head);
+      ASSERT_TRUE(node.ok()) << node.status().ToString();
+      auto head_commit = Commit::Decode(**node);
+      ASSERT_TRUE(head_commit.ok());
+
+      net::PublishRequest pub;
+      pub.structure = "pos";
+      pub.branch = kBranch;
+      pub.new_root = head_commit->root;
+      pub.author = "w" + std::to_string(t);
+      pub.message = "overflow";
+      pub.expected_head = *head;
+      expect_degraded(cl.transport->Publish(pub).status());
+
+      const std::string payload =
+          "overflow-" + std::to_string(t) + "-" + std::to_string(a);
+      NodeBatch batch;
+      batch.push_back(NodeRecord{Sha256::Digest(payload),
+                                 std::make_shared<const std::string>(payload)});
+      expect_degraded(cl.transport->PutMany(batch));
+    }
+  });
+
+  // Degraded rejects fail fast: no client burned a retry on them.
+  uint64_t retries_after = 0;
+  for (const Client& c : clients) retries_after += c.transport->stats().retries;
+  EXPECT_EQ(retries_after, retries_at_trip);
+
+  // Zero lost acked commits: the head never moved past the trip point and
+  // every phase-1 key is still readable under it.
+  auto final_head = servlet_->branches()->Head(kBranch);
+  ASSERT_TRUE(final_head.ok());
+  EXPECT_EQ(*final_head, *acked_head);
+  auto head_commit = servlet_->branches()->ReadCommit(*final_head);
+  ASSERT_TRUE(head_commit.ok());
+  for (int t = 0; t < kClients; ++t) {
+    for (int c = 0; c < kCommitsEach; ++c) {
+      auto got = server_index.Get(head_commit->root, key(t, c), nullptr);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(got->has_value()) << "lost acked commit " << key(t, c);
+    }
+  }
+  const auto st = server_->stats();
+  EXPECT_TRUE(st.degraded);
+  EXPECT_NE(st.degraded_cause.find("enospc"), std::string::npos)
+      << st.degraded_cause;
+  EXPECT_GE(st.degraded_rejects, 1u);
 }
 
 TEST_F(DegradedServerTest, EioOnFsyncDegradesWithUnavailableRejects) {

@@ -20,6 +20,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -994,6 +995,116 @@ TEST(ServerFrameCapTest, RequestAtExactCapExecutesOneOverIsRejected) {
   EXPECT_EQ(server.stats().frame_errors, 1u);
   server.Stop();
 }
+
+// --- concurrent commits, every structure --------------------------------
+
+/// (structure, all writers share one pipelined connection?)
+using SocketCommitParam = std::tuple<testing_util::IndexKind, bool>;
+
+class SocketCommitTest : public ::testing::TestWithParam<SocketCommitParam> {};
+
+TEST_P(SocketCommitTest, ConcurrentWritersLoseNoUpdate) {
+  // K writers race Head -> PutBatch -> Publish on one branch through the
+  // server configuration that ships: a file-backed store (real fsyncs)
+  // and default ServerOptions, so the group-flush window is on. Each
+  // writer owns a connection, or all of them share one pipelined
+  // connection. Lost head races are merged server-side, so every acked
+  // key must be at the final head and every ack executed exactly once.
+  const testing_util::IndexKind kind = std::get<0>(GetParam());
+  const bool shared = std::get<1>(GetParam());
+  constexpr int kWriters = 4;
+  constexpr int kCommitsEach = 3;
+  constexpr int kKeysPerCommit = 10;
+  auto key = [](int writer, int commit, int k) {
+    return "w" + std::to_string(writer) + "/c" + std::to_string(commit) +
+           "/k" + std::to_string(k);
+  };
+
+  const std::string path = ::testing::TempDir() + "/siri_socket_commit_" +
+                           testing_util::KindName(kind) +
+                           (shared ? "_shared_" : "_own_") +
+                           std::to_string(getpid()) + ".log";
+  std::remove(path.c_str());
+  std::shared_ptr<FileNodeStore> store;
+  ASSERT_TRUE(FileNodeStore::Open(path, &store).ok());
+  ForkbaseServlet servlet(store);
+  auto proto = testing_util::MakeIndex(kind, store);
+  servlet.RegisterIndex(testing_util::MakeIndex(kind, store));
+  auto base = proto->PutBatch(proto->EmptyRoot(), MakeKvs(100));
+  ASSERT_TRUE(base.ok());
+  ASSERT_TRUE(
+      servlet.branches()->CommitOnBranch("main", *base, "init", "base").ok());
+  net::SiriServer server(&servlet);
+  ASSERT_TRUE(server.Listen(0).ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  net::SocketTransport::Options topts;
+  if (shared) topts.max_inflight = 8;
+  std::vector<std::shared_ptr<net::SocketTransport>> transports(
+      shared ? 1 : kWriters);
+  std::vector<std::shared_ptr<ForkbaseClientStore>> stores;
+  for (auto& t : transports) {
+    ASSERT_TRUE(
+        net::SocketTransport::Connect("127.0.0.1", server.port(), &t, topts)
+            .ok());
+    stores.push_back(std::make_shared<ForkbaseClientStore>(t, 16 << 20));
+  }
+
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      auto index = proto->WithStore(stores[shared ? 0 : w]);
+      for (int c = 0; c < kCommitsEach; ++c) {
+        std::vector<KV> batch;
+        for (int k = 0; k < kKeysPerCommit; ++k) {
+          batch.push_back(KV{key(w, c, k), "v" + std::to_string(c)});
+        }
+        auto landed = testing_util::CommitOnHead(
+            transports[shared ? 0 : w].get(), index.get(), "main",
+            std::move(batch), "w" + std::to_string(w), "c" + std::to_string(c));
+        ASSERT_TRUE(landed.ok()) << landed.status().ToString();
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  ASSERT_FALSE(::testing::Test::HasFailure());
+
+  // Zero lost updates, verified server-side.
+  auto head = servlet.branches()->Head("main");
+  ASSERT_TRUE(head.ok());
+  auto head_commit = servlet.branches()->ReadCommit(*head);
+  ASSERT_TRUE(head_commit.ok());
+  for (int w = 0; w < kWriters; ++w) {
+    for (int c = 0; c < kCommitsEach; ++c) {
+      for (int k = 0; k < kKeysPerCommit; ++k) {
+        auto got = proto->Get(head_commit->root, key(w, c, k), nullptr);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_TRUE(got->has_value()) << "lost acked update " << key(w, c, k);
+      }
+    }
+  }
+  // Exactly once: the combiner executed as many publishes as were acked.
+  const CommitCombiner::Stats cs = servlet.combiner()->stats();
+  EXPECT_EQ(cs.solo_commits + cs.combined_commits + cs.fallbacks,
+            static_cast<uint64_t>(kWriters * kCommitsEach));
+  testing_util::ExpectMonotonicSequences(servlet.branches(), *head);
+
+  server.Stop();
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryStructure, SocketCommitTest,
+    ::testing::Combine(::testing::Values(testing_util::IndexKind::kPos,
+                                         testing_util::IndexKind::kMbt,
+                                         testing_util::IndexKind::kMpt,
+                                         testing_util::IndexKind::kMvmb),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<SocketCommitParam>& info) {
+      return std::string(testing_util::KindName(std::get<0>(info.param))) +
+             (std::get<1>(info.param) ? "_SharedConnection"
+                                      : "_OwnConnections");
+    });
 
 // --- combiner-aware cache push -----------------------------------------
 

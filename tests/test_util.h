@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -19,7 +21,9 @@
 #include "index/mpt/mpt.h"
 #include "index/mvmb/mvmb_tree.h"
 #include "index/pos/pos_tree.h"
+#include "net/transport.h"
 #include "store/node_store.h"
+#include "version/commit.h"
 
 namespace siri {
 namespace testing_util {
@@ -109,6 +113,57 @@ inline std::vector<KV> MakeKvs(int n, int version = 0) {
   kvs.reserve(n);
   for (int i = 0; i < n; ++i) kvs.push_back(KV{TKey(i), TVal(i, version)});
   return kvs;
+}
+
+/// Every commit reachable from \p head must carry a sequence strictly
+/// greater than each of its parents' — the per-branch in-order invariant
+/// that concurrent and pipelined publishers must not break.
+inline void ExpectMonotonicSequences(BranchManager* branches,
+                                     const Hash& head) {
+  std::deque<Hash> frontier{head};
+  std::set<std::string> seen{head.ToHex()};
+  while (!frontier.empty()) {
+    const Hash h = frontier.front();
+    frontier.pop_front();
+    auto c = branches->ReadCommit(h);
+    ASSERT_TRUE(c.ok()) << c.status().ToString();
+    for (const Hash& p : c->parents) {
+      auto parent = branches->ReadCommit(p);
+      ASSERT_TRUE(parent.ok()) << parent.status().ToString();
+      EXPECT_LT(parent->sequence, c->sequence)
+          << "commit " << h.ToHex() << " does not dominate parent "
+          << p.ToHex();
+      if (seen.insert(p.ToHex()).second) frontier.push_back(p);
+    }
+  }
+}
+
+/// One optimistic commit from a client: reads \p branch's head over
+/// \p transport, applies \p kvs to that head's root through \p index
+/// (bound to the client's store), and publishes the result expecting that
+/// head, so a lost head race is merged server-side.
+inline Result<net::PublishResult> CommitOnHead(net::Transport* transport,
+                                               ImmutableIndex* index,
+                                               const std::string& branch,
+                                               std::vector<KV> kvs,
+                                               const std::string& author,
+                                               const std::string& message) {
+  auto head = transport->Head(branch);
+  if (!head.ok()) return head.status();
+  auto node = index->store()->Get(*head);
+  if (!node.ok()) return node.status();
+  auto head_commit = Commit::Decode(**node);
+  if (!head_commit.ok()) return head_commit.status();
+  auto root = index->PutBatch(head_commit->root, std::move(kvs));
+  if (!root.ok()) return root.status();
+  net::PublishRequest pub;
+  pub.structure = index->name();
+  pub.branch = branch;
+  pub.new_root = *root;
+  pub.author = author;
+  pub.message = message;
+  pub.expected_head = *head;
+  return transport->Publish(pub);
 }
 
 }  // namespace testing_util
