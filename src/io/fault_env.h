@@ -13,9 +13,10 @@
 //
 //   - kPassthrough: wraps a real Env (e.g. Env::Default()); injected
 //     faults short-circuit or sabotage individual calls while clean ops
-//     forward to the base. The fig06 ENOSPC smoke and the server
-//     degradation tests run this way over a real file (or over a
-//     buffered FaultEnv — FaultEnv wraps any Env).
+//     forward to the base. The server degradation tests (e.g.
+//     DegradedServerTest.ConcurrentWritersAllGetTypedRejectAfterEnospc)
+//     run this way over a real file (or over a buffered FaultEnv —
+//     FaultEnv wraps any Env).
 //
 //   - kBuffered: a full in-memory file system with a durability model.
 //     Each file (inode) tracks the prefix covered by a completed Sync;

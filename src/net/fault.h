@@ -9,14 +9,14 @@
 //     attempt index — the chaos tests sweep "fault kind X at every RPC
 //     index" this way, so every failure site is hit deterministically;
 //   - random: a seeded xoshiro draw per attempt injects faults at a fixed
-//     rate — the forked chaos stress and the `fig06 --chaos` bench use
-//     this, reproducible from the seed.
+//     rate — ChaosThreadedTest and the forked chaos stress
+//     (chaos_forked_stress) use this, reproducible from the seed.
 //
 // The injector is a *client-side* saboteur: it garbles, tears, delays, or
 // resets the transport's own traffic, which exercises every server
 // hardening path (digest-mismatch rejects, torn-frame connection drops)
-// and every client resilience path (reconnect, retry, publish replay
-// resolution) without any cooperation from the server. Thread-safe: one
+// and every client resilience path (reconnect, retry, publish replay)
+// without any cooperation from the server. Thread-safe: one
 // injector may serve a transport shared by many threads.
 
 #ifndef SIRI_NET_FAULT_H_
@@ -46,8 +46,9 @@ enum class FaultKind : uint8_t {
   /// executing it.
   kCorruptFrame,
   /// Send the full request, then close before reading the response: the
-  /// classic lost-ack. The request may or may not have executed — the
-  /// ambiguous case Publish must resolve by head inspection.
+  /// classic lost-ack. The request may or may not have executed; the
+  /// replay is safe either way — a Publish whose original landed is
+  /// deduplicated by the server (CommitAlreadyApplied, version/occ.h).
   kResetAfterSend,
   /// Sleep before sending (a slow client / congested path).
   kDelaySend,

@@ -8,8 +8,8 @@
 //   siri-server --port=4433                        # in-memory (testing)
 //
 // Clients connect with net::SocketTransport and wrap it in a
-// ForkbaseClientStore; `fig06_ycsb_throughput --transport=socket` is the
-// reference workload.
+// ForkbaseClientStore; the repo benchmark (`python3 perfbench/run.py`)
+// is the reference workload.
 
 #include <signal.h>
 

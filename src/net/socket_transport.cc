@@ -14,8 +14,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <deque>
-#include <set>
 #include <thread>
 
 #include "common/varint.h"
@@ -25,12 +23,6 @@ namespace siri {
 namespace net {
 
 namespace {
-
-// Commit objects fetched while resolving an ambiguous publish. A branch
-// cannot gain more than (writers × retry budget) commits during one
-// resolution window, so a walk this deep means the client is hopelessly
-// behind — give up with Unavailable rather than chase the head forever.
-constexpr size_t kPublishResolveBudget = 512;
 
 Status Errno(const char* what) {
   return Status::IOError(std::string(what) + ": " + std::strerror(errno));
@@ -290,8 +282,8 @@ void SocketTransport::ReadLoopLocked(MutexLock& lock, PendingRpc* self,
       if (corr == 0 && IsBadFrameReject(app)) {
         // The server's connection-wide frame reject (net/wire.h): it
         // executes frames in order, stopped at the bad one, and flushed
-        // every earlier response first, so nothing still pending ran.
-        // CallOnce classifies an RPC failed with this status not executed.
+        // every earlier response first, so nothing still pending ran;
+        // each pending RPC fails with the reject and is replayed.
         CloseAndFailAllLocked(app);
         return;
       }
@@ -502,7 +494,7 @@ SocketTransport::AttemptResult SocketTransport::CallOnce(Request* req) {
         connecting_ = false;
         cv_.notify_all();
         if (!rc.ok()) {
-          out.error = std::move(rc);  // not executed: nothing to send on
+          out.error = std::move(rc);  // nothing to send on: retry
           return out;
         }
         continue;  // re-evaluate admission on the fresh connection
@@ -515,8 +507,8 @@ SocketTransport::AttemptResult SocketTransport::CallOnce(Request* req) {
       cv_.wait(lock.native());
     } else if (cv_.wait_until(lock.native(), deadline) ==
                std::cv_status::timeout) {
-      // Timed out before sending a byte: a deadline miss, but provably
-      // not executed — the cheapest kind to retry.
+      // Timed out before sending a byte: a deadline miss, and the
+      // cheapest kind to retry.
       deadline_misses_.fetch_add(1, std::memory_order_relaxed);
       out.error = DeadlineError(opts_.rpc_timeout_ms);
       return out;
@@ -552,17 +544,15 @@ SocketTransport::AttemptResult SocketTransport::CallOnce(Request* req) {
       }
       if (fault.kind == FaultKind::kShortWrite) {
         // A torn frame can never execute — the length prefix promises
-        // bytes that will not come — so a mid-frame tear is provably not
-        // executed whatever the send outcome. The scripted offset pins
-        // the tear exactly; an offset at (or clamped to) the full frame
-        // size delivered everything and must classify as a lost ack, not
-        // a torn send.
+        // bytes that will not come. The scripted offset pins the tear
+        // exactly; an offset at (or clamped to) the full frame size
+        // delivered everything, so the server executes it and only the
+        // ack is lost. Either way the attempt fails and is replayed.
         const size_t limit =
             fault.short_write_offset == UINT64_MAX
                 ? frame.size() / 2
                 : std::min<size_t>(fault.short_write_offset, frame.size());
-        const Status sent = SendFrameLocked(lock, frame, limit, deadline);
-        if (sent.ok() && limit == frame.size()) rpc.sent_fully = true;
+        (void)SendFrameLocked(lock, frame, limit, deadline);
         CloseAndFailAllLocked(Status::IOError("injected fault: short write"));
       } else {
         Status sent = SendFrameLocked(lock, frame, frame.size(), deadline);
@@ -573,9 +563,8 @@ SocketTransport::AttemptResult SocketTransport::CallOnce(Request* req) {
                 "injected fault: connection reset after send"));
           }
         } else if (!rpc.failed) {
-          // Nothing or a torn prefix left the socket; either way the
-          // server can never decode this request — not executed. The
-          // torn stream position is unrecoverable for everyone.
+          // Nothing or a torn prefix left the socket: the torn stream
+          // position is unrecoverable for everyone.
           if (IsDeadlineError(sent)) {
             deadline_misses_.fetch_add(1, std::memory_order_relaxed);
           }
@@ -612,17 +601,12 @@ SocketTransport::AttemptResult SocketTransport::CallOnce(Request* req) {
     }
   }
 
-  // --- deregister and classify ---------------------------------------
+  // --- deregister ----------------------------------------------------
   pending_.erase(rpc.corr);
   --inflight_;
   cv_.notify_all();
 
   if (rpc.failed) {
-    // A server frame reject proves the request never ran, however much
-    // of it left the socket.
-    out.kind = rpc.sent_fully && !IsBadFrameReject(rpc.error)
-                   ? AttemptResult::Kind::kAmbiguous
-                   : AttemptResult::Kind::kNotExecuted;
     out.error = std::move(rpc.error);
     return out;
   }
@@ -634,11 +618,10 @@ SocketTransport::AttemptResult SocketTransport::CallOnce(Request* req) {
     // retrying against a read-only server is a hang with extra steps.
     CloseAndFailAllLocked(
         Status::IOError("connection dropped after overload reject"));
-    out.kind = AttemptResult::Kind::kNotExecuted;
     out.error = std::move(rpc.app);
     return out;
   }
-  out.kind = AttemptResult::Kind::kResponded;
+  out.responded = true;
   out.app = std::move(rpc.app);
   out.body = std::move(rpc.body);
   return out;
@@ -661,7 +644,7 @@ void SocketTransport::BackoffSleep(int attempt) {
   std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
 }
 
-Result<std::string> SocketTransport::CallIdempotent(Request* req) {
+Result<std::string> SocketTransport::Call(Request* req) {
   const int max_attempts = std::max(1, opts_.retry.max_attempts);
   Status last = Status::IOError("no wire attempt made");
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
@@ -670,14 +653,15 @@ Result<std::string> SocketTransport::CallIdempotent(Request* req) {
       BackoffSleep(attempt);
     }
     AttemptResult r = CallOnce(req);
-    if (r.kind == AttemptResult::Kind::kResponded) {
+    if (r.responded) {
       if (!r.app.ok()) return r.app;
       return std::move(r.body);
     }
     last = std::move(r.error);
-    // The whole surface routed through here is idempotent (reads, plus
-    // content-addressed writes a replay re-stores byte-identically), so
-    // both not-executed and ambiguous attempts are safe to replay.
+    // Every failed attempt is safe to replay, whether or not the server
+    // ran it: reads and content-addressed writes re-store identical bytes,
+    // and a Publish whose original landed is deduplicated server-side
+    // (CommitAlreadyApplied, version/occ.h).
     if (r.permanent || !opts_.auto_reconnect) return last;
   }
   return Status::Unavailable("retry policy exhausted after " +
@@ -690,7 +674,7 @@ Result<std::shared_ptr<const std::string>> SocketTransport::Get(
   Request req;
   req.type = MsgType::kGet;
   req.hash = h;
-  auto body = CallIdempotent(&req);
+  auto body = Call(&req);
   if (!body.ok()) return body.status();
   return std::make_shared<const std::string>(std::move(*body));
 }
@@ -699,7 +683,7 @@ Result<bool> SocketTransport::Contains(const Hash& h) {
   Request req;
   req.type = MsgType::kContains;
   req.hash = h;
-  auto body = CallIdempotent(&req);
+  auto body = Call(&req);
   if (!body.ok()) return body.status();
   if (body->size() != 1) return Status::Corruption("contains body");
   return (*body)[0] != 0;
@@ -709,7 +693,7 @@ Result<uint64_t> SocketTransport::SizeOf(const Hash& h) {
   Request req;
   req.type = MsgType::kSizeOf;
   req.hash = h;
-  auto body = CallIdempotent(&req);
+  auto body = Call(&req);
   if (!body.ok()) return body.status();
   Slice in(*body);
   uint64_t size = 0;
@@ -723,7 +707,7 @@ Result<Hash> SocketTransport::Put(Slice bytes) {
   Request req;
   req.type = MsgType::kPut;
   req.bytes.assign(bytes.data(), bytes.size());
-  auto body = CallIdempotent(&req);
+  auto body = Call(&req);
   if (!body.ok()) return body.status();
   Slice in(*body);
   Hash h;
@@ -736,19 +720,19 @@ Status SocketTransport::PutMany(const NodeBatch& batch) {
   Request req;
   req.type = MsgType::kPutMany;
   req.batch = batch;  // shares the node byte buffers, no copy
-  return CallIdempotent(&req).status();
+  return Call(&req).status();
 }
 
 Status SocketTransport::Flush() {
   Request req;
   req.type = MsgType::kFlush;
-  return CallIdempotent(&req).status();
+  return Call(&req).status();
 }
 
 Result<NodeStore::Stats> SocketTransport::StoreStats() {
   Request req;
   req.type = MsgType::kStoreStats;
-  auto body = CallIdempotent(&req);
+  auto body = Call(&req);
   if (!body.ok()) return body.status();
   NodeStore::Stats s;
   Status decoded = DecodeStoreStatsBody(*body, &s);
@@ -759,14 +743,14 @@ Result<NodeStore::Stats> SocketTransport::StoreStats() {
 Status SocketTransport::ResetServerOpCounters() {
   Request req;
   req.type = MsgType::kResetCounters;
-  return CallIdempotent(&req).status();
+  return Call(&req).status();
 }
 
 Result<Hash> SocketTransport::Head(const std::string& branch) {
   Request req;
   req.type = MsgType::kHead;
   req.branch = branch;
-  auto body = CallIdempotent(&req);
+  auto body = Call(&req);
   if (!body.ok()) return body.status();
   Slice in(*body);
   Hash h;
@@ -802,89 +786,6 @@ void SocketTransport::DeliverPush(const NodeBatch& pushed) {
   pushed_bytes_.fetch_add(bytes, std::memory_order_relaxed);
 }
 
-Result<std::optional<PublishResult>> SocketTransport::CheckPublishApplied(
-    const PublishRequest& pub) {
-  // Reconstruct the content commit the server builds for this request
-  // (version/occ.cc): root + [expected_head] + author/message, sequence =
-  // parent.sequence + 1 (0 for a branch creation). Commits are
-  // content-addressed, so its digest is decidable client-side.
-  Commit want;
-  want.root = pub.new_root;
-  want.author = pub.author;
-  want.message = pub.message;
-  if (pub.expected_head.has_value()) {
-    want.parents.push_back(*pub.expected_head);
-    Request preq;
-    preq.type = MsgType::kGet;
-    preq.hash = *pub.expected_head;
-    auto parent_bytes = CallIdempotent(&preq);
-    if (!parent_bytes.ok()) return parent_bytes.status();
-    auto parent = Commit::Decode(*parent_bytes);
-    if (!parent.ok()) return parent.status();
-    want.sequence = parent->sequence + 1;
-  }
-  const Hash target = Sha256::Digest(want.Encode());
-
-  Request hreq;
-  hreq.type = MsgType::kHead;
-  hreq.branch = pub.branch;
-  auto head_body = CallIdempotent(&hreq);
-  if (!head_body.ok()) {
-    if (head_body.status().IsNotFound()) {
-      // No branch, no commit: a creation publish did not land and a
-      // publish onto a since-deleted branch certainly did not.
-      return std::optional<PublishResult>();
-    }
-    return head_body.status();
-  }
-  Slice in(*head_body);
-  Hash head;
-  if (!GetHash(&in, &head) || !in.empty()) {
-    return Status::Corruption("head body");
-  }
-
-  // Walk the DAG from the head looking for the target digest. Parents
-  // carry strictly smaller sequence numbers than their children, so any
-  // node at or below the target's sequence that is not the target itself
-  // cannot have the target in its ancestry — prune there. NOTE: a mere
-  // Contains(target) would NOT do: an orphaned commit object (written,
-  // lost the CAS, never merged) lives in the content-addressed store
-  // without being history, and mistaking it for "applied" loses an acked
-  // update.
-  std::deque<Hash> frontier{head};
-  std::set<std::string> visited{head.ToHex()};
-  size_t budget = kPublishResolveBudget;
-  while (!frontier.empty()) {
-    const Hash h = frontier.front();
-    frontier.pop_front();
-    if (h == target) {
-      PublishResult out;
-      out.head = head;
-      out.commit = target;
-      return std::optional<PublishResult>(out);
-    }
-    if (budget == 0) {
-      return Status::Unavailable(
-          "publish resolution budget exhausted walking branch '" + pub.branch +
-          "'; cannot prove whether the publish applied");
-    }
-    --budget;
-    Request creq;
-    creq.type = MsgType::kGet;
-    creq.hash = h;
-    auto bytes = CallIdempotent(&creq);
-    if (!bytes.ok()) return bytes.status();
-    auto c = Commit::Decode(*bytes);
-    if (!c.ok()) return c.status();
-    if (c->sequence > want.sequence) {
-      for (const Hash& p : c->parents) {
-        if (visited.insert(p.ToHex()).second) frontier.push_back(p);
-      }
-    }
-  }
-  return std::optional<PublishResult>();  // provably absent: replay is safe
-}
-
 Result<PublishResult> SocketTransport::Publish(const PublishRequest& pub) {
   Request req;
   req.type = MsgType::kPublish;
@@ -895,58 +796,25 @@ Result<PublishResult> SocketTransport::Publish(const PublishRequest& pub) {
   req.message = pub.message;
   req.expected_head = pub.expected_head;
   req.want_push = opts_.cache_push;
-
-  const int max_attempts = std::max(1, opts_.retry.max_attempts);
-  Status last = Status::IOError("no wire attempt made");
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    if (attempt > 0) {
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      BackoffSleep(attempt);
-    }
-    AttemptResult r = CallOnce(&req);
-    if (r.kind == AttemptResult::Kind::kResponded) {
-      if (!r.app.ok()) return r.app;
-      WirePublishResult wire;
-      Status decoded = DecodePublishResultBody(r.body, &wire);
-      if (!decoded.ok()) return decoded;
-      DeliverPush(wire.pushed);
-      PublishResult out;
-      out.head = wire.head;
-      out.commit = wire.commit;
-      out.cas_failures = wire.cas_failures;
-      out.merge_commits = wire.merge_commits;
-      return out;
-    }
-    last = std::move(r.error);
-    if (r.permanent || !opts_.auto_reconnect) return last;
-    if (r.kind == AttemptResult::Kind::kAmbiguous) {
-      // Lost ack: the publish may have applied. Blind replay would land a
-      // duplicate (degenerate merge) commit, so resolve by inspecting the
-      // branch head first; only a *proven* not-applied is replayed.
-      //
-      // One inspection is not proof: the server executes a fully-received
-      // frame when a worker drains the (now dead) connection, which races
-      // an immediate head check — "absent" taken too early would replay a
-      // publish that is just about to apply. Demand two agreeing absent
-      // verdicts a backoff apart before falling through to the replay.
-      for (int probe = 0; probe < 2; ++probe) {
-        auto resolved = CheckPublishApplied(pub);
-        if (!resolved.ok()) return resolved.status();
-        if (resolved->has_value()) return **resolved;
-        if (probe == 0) BackoffSleep(attempt + 1);
-      }
-    }
-  }
-  return Status::Unavailable("publish retry policy exhausted after " +
-                             std::to_string(max_attempts) +
-                             " attempts; last: " + last.ToString());
+  auto body = Call(&req);
+  if (!body.ok()) return body.status();
+  WirePublishResult wire;
+  Status decoded = DecodePublishResultBody(*body, &wire);
+  if (!decoded.ok()) return decoded;
+  DeliverPush(wire.pushed);
+  PublishResult out;
+  out.head = wire.head;
+  out.commit = wire.commit;
+  out.cas_failures = wire.cas_failures;
+  out.merge_commits = wire.merge_commits;
+  return out;
 }
 
 Result<BranchStats> SocketTransport::GetBranchStats(const std::string& branch) {
   Request req;
   req.type = MsgType::kBranchStats;
   req.branch = branch;
-  auto body = CallIdempotent(&req);
+  auto body = Call(&req);
   if (!body.ok()) return body.status();
   BranchStats s;
   Status decoded = DecodeBranchStatsBody(*body, &s);
@@ -957,7 +825,7 @@ Result<BranchStats> SocketTransport::GetBranchStats(const std::string& branch) {
 Result<std::vector<std::string>> SocketTransport::ListBranches() {
   Request req;
   req.type = MsgType::kListBranches;
-  auto body = CallIdempotent(&req);
+  auto body = Call(&req);
   if (!body.ok()) return body.status();
   std::vector<std::string> branches;
   Status decoded = DecodeStringListBody(*body, &branches);

@@ -29,26 +29,18 @@
 // because a torn stream position cannot be resynced.
 //
 // Resilience. When the wire fails, a capped-exponential RetryPolicy with
-// automatic reconnect + fresh Hello handshake replays the RPC. The retry
-// layer classifies each failed wire attempt *per correlation id* before
-// replaying:
-//
-//   not executed — nothing sent, a torn frame (the length prefix makes the
-//     server wait for bytes that never come), a server frame-reject
-//     ("bad frame: ...", see net/wire.h — it fails every RPC still pending
-//     on the connection, none of which ran), or a ResourceExhausted
-//     overload reject. Safe to replay any request, including Publish.
-//   ambiguous — the full frame left the socket but no clean response came
-//     back (lost ack — including a connection torn by ANOTHER RPC's fault
-//     while ours was awaiting its response). Safe to replay only the
-//     idempotent surface (Get/Contains/SizeOf/Put/PutMany/Flush are
-//     content-addressed: a replay re-stores identical bytes under
-//     identical digests). Publish is NOT blindly replayed: the transport
-//     resolves the ambiguity by head inspection — it computes the
-//     content-commit digest the server would have written and walks the
-//     branch DAG (sequence-pruned, bounded) to prove the publish either
-//     applied (return success with that commit) or did not (replay is
-//     then safe).
+// automatic reconnect + fresh Hello handshake replays the RPC — every RPC,
+// Publish included, through the one retry loop. Replaying is safe for the
+// whole surface: Get/Contains/SizeOf/Put/PutMany/Flush are
+// content-addressed (a replay re-stores identical bytes under identical
+// digests), and a Publish whose original already landed before its ack
+// was lost is answered by the server's replay dedup instead of executing
+// twice. A publish's content commit is deterministic in (root,
+// expected_head, author, message), so the server decides "did this land?"
+// where the head CAS serializes it — CommitAlreadyApplied in
+// version/occ.h, including an original and its replay combined into one
+// batch (version/group_commit.h) — and acks the replay with the commit
+// the original wrote.
 //
 // When the policy is exhausted without an answer the RPC fails with a
 // typed Status::Unavailable — "the op may not have run" — never with a
@@ -179,7 +171,8 @@ class SocketTransport : public Transport {
   /// until the owner deregisters it.
   struct PendingRpc {
     uint64_t corr = 0;
-    bool sent_fully = false;  ///< the ambiguity boundary for this id
+    bool sent_fully = false;  ///< whole frame sent: a deadline miss
+                              ///< abandons just this id
     bool done = false;        ///< response arrived (app/body valid)
     bool failed = false;      ///< transport-level failure (error valid)
     Status app;
@@ -187,17 +180,12 @@ class SocketTransport : public Transport {
     Status error;
   };
 
-  /// One failed-or-succeeded wire attempt, classified for the retry layer.
+  /// One wire attempt, as the retry loop sees it.
   struct AttemptResult {
-    enum class Kind {
-      kResponded,    ///< clean response: `app` (+ `body` when app.ok())
-      kNotExecuted,  ///< server provably never ran it — replay anything
-      kAmbiguous,    ///< frame fully sent, no clean response — lost ack
-    };
-    Kind kind = Kind::kNotExecuted;
-    Status app;        ///< application status (kResponded)
-    std::string body;  ///< response body (kResponded && app.ok())
-    Status error;      ///< transport error (kNotExecuted / kAmbiguous)
+    bool responded = false;  ///< clean response: `app` (+ `body` when ok)
+    Status app;              ///< application status (responded)
+    std::string body;        ///< response body (responded && app.ok())
+    Status error;            ///< transport error (!responded): replayable
     /// Explicitly Close()d (or reconnect disabled): fail fast, no retry.
     bool permanent = false;
   };
@@ -255,14 +243,14 @@ class SocketTransport : public Transport {
   /// must have set connecting_.
   Status ReconnectLocked(MutexLock& lock) REQUIRES(mu_);
 
-  /// One classified attempt: admission (slot + sender token), connect if
+  /// One attempt: admission (slot + sender token), connect if
   /// needed, send, await the matching response. \p req->corr_id is
   /// assigned here.
   AttemptResult CallOnce(Request* req) EXCLUDES(mu_);
 
-  /// Full retry loop for the idempotent surface: replays on both
-  /// not-executed and ambiguous failures, Unavailable after exhaustion.
-  Result<std::string> CallIdempotent(Request* req) EXCLUDES(mu_);
+  /// The retry loop every RPC goes through: replays any failed attempt
+  /// under the policy, Unavailable after exhaustion.
+  Result<std::string> Call(Request* req) EXCLUDES(mu_);
 
   /// Sleeps the jittered backoff before wire attempt \p attempt (>= 1).
   void BackoffSleep(int attempt) EXCLUDES(mu_);
@@ -270,13 +258,6 @@ class SocketTransport : public Transport {
   /// Digest-verifies \p pushed (dropping mismatches) and hands the
   /// surviving records to the push sink; counts stats().pushed_*.
   void DeliverPush(const NodeBatch& pushed) EXCLUDES(mu_);
-
-  /// Resolves an ambiguous publish by head inspection. ok(value) = the
-  /// publish applied (value is the result to return); ok(nullopt) = it
-  /// provably did not apply (replay is safe); error = undecidable within
-  /// budget (Unavailable) or the inspection itself failed.
-  Result<std::optional<PublishResult>> CheckPublishApplied(
-      const PublishRequest& pub) EXCLUDES(mu_);
 
   const Options opts_;
   const std::string host_;

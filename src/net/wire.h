@@ -138,20 +138,18 @@ Status StatusFromWire(uint8_t code, std::string message);
 
 /// Message prefix on the Corruption response a server sends when a
 /// *request frame* could not be decoded (garbled length, digest mismatch,
-/// undecodable payload). The distinction matters to the client's retry
-/// layer: a frame the server rejected at this layer was never executed,
-/// so replaying it — even a non-idempotent Publish — cannot double-apply.
-/// Server-side storage corruption surfaced by an executed request never
-/// carries this prefix. The reject carries correlation id 0 (the server
-/// could not read the request's id; before the Hello it takes the id-less
-/// Hello response shape) and rejects the whole connection: the server
-/// executes frames in order, flushes every earlier response, sends the
-/// reject, and hangs up, so every request the client still has pending
-/// was never executed.
+/// undecodable payload). Server-side storage corruption surfaced by an
+/// executed request never carries this prefix. The reject carries
+/// correlation id 0 (the server could not read the request's id; before
+/// the Hello it takes the id-less Hello response shape) and rejects the
+/// whole connection: the server executes frames in order, flushes every
+/// earlier response, sends the reject, and hangs up. The client fails
+/// every RPC still pending on the connection with it and reconnects; the
+/// retry loop then replays them like any other failed attempt.
 constexpr const char kBadFramePrefix[] = "bad frame: ";
 
 /// True when \p s is a server-side reject of an undecodable request frame
-/// (see kBadFramePrefix): the request was not executed.
+/// (see kBadFramePrefix): the whole connection was rejected.
 bool IsBadFrameReject(const Status& s);
 
 /// Message prefix on the typed reject a *degraded* (read-only) server

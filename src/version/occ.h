@@ -71,9 +71,9 @@ struct MergeCommitResult {
   /// True when the publish's deterministic content commit was ALREADY in
   /// the branch history — this call executed nothing and wrote nothing;
   /// `head`/`commit` just point at the earlier landing. That happens when
-  /// a lost-ack publish is replayed after the original execution landed
-  /// (the transport's exactly-once resolution can probe "absent" while
-  /// the original is still inside its combine window / CAS retries).
+  /// a lost-ack publish is replayed after the original execution landed:
+  /// the socket transport replays every failed attempt, Publish included,
+  /// and relies on this dedup for exactly-once.
   /// Callers keeping executed-commit accounting must not count these.
   bool already_applied = false;
 };
@@ -121,8 +121,8 @@ Result<Hash> MergeBaseRoot(BranchManager* mgr, ImmutableIndex* index,
 /// sequences strictly dominate every parent (version/commit.h), so the
 /// walk descends only through commits whose sequence exceeds the
 /// target's: O(commits landed since the target's parent), the same order
-/// as the merge-base probe, NOT O(history). This is the server side of
-/// exactly-once publishes: a content commit is deterministic in
+/// as the merge-base probe, NOT O(history). This is the one exactly-once
+/// mechanism for publishes: a content commit is deterministic in
 /// (root, expected_head, author, message), so "is the replay's commit
 /// reachable from the head" decides applied-vs-absent race-free — the
 /// head CAS serializes every landing against this read. Shared by the

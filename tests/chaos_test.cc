@@ -13,12 +13,12 @@
 //      Unavailable) within the retry policy's budget, never hangs.
 //
 // The scripted tests pin one fault kind at one exact wire attempt, so
-// every classification branch (not-executed replay, ambiguous resolution,
-// policy exhaustion) is hit deterministically. ChaosProcessTest forks
-// real client processes with seeded random fault streams, and
-// ChaosThreadedTest runs the same client routine on threads of this
-// process — the chaos-labeled ctest entry re-runs both scaled up via
-// SIRI_CHAOS=1. Forked tests are excluded from the TSan job (ctest -E)
+// every failure site (torn send, corrupt frame, lost ack — each replayed,
+// a lost-ack Publish deduplicated by the server — and policy exhaustion)
+// is hit deterministically. ChaosProcessTest forks real client processes
+// with seeded random fault streams, and ChaosThreadedTest runs the same
+// client routine on threads of this process — the chaos-labeled ctest
+// entry re-runs both scaled up via SIRI_CHAOS=1. Forked tests are excluded from the TSan job (ctest -E)
 // like the other multi-process suites; the threaded one runs under it.
 
 #include <gtest/gtest.h>
@@ -266,8 +266,8 @@ TEST_F(ChaosServerTest, PutManySurvivesLostAckWithoutDataLoss) {
     batch.push_back({Sha256::Digest(*bytes), bytes});
   }
   // Lost ack on the upload: PutMany is content-addressed, so the replay
-  // re-stores identical bytes under identical digests — the ambiguity is
-  // harmless by construction.
+  // re-stores identical bytes under identical digests — whether the
+  // original ran is harmless by construction.
   fault->ScriptNext({FaultKind::kResetAfterSend, 0});
   ASSERT_TRUE(t->PutMany(batch).ok());
   for (const auto& rec : batch) {
@@ -308,8 +308,8 @@ TEST_F(ChaosServerTest, PublishTornSendIsReplayedExactlyOnce) {
 }
 
 TEST_F(ChaosServerTest, PublishCorruptFrameIsReplayedExactlyOnce) {
-  // A bit-flipped frame draws the server's typed "bad frame" reject —
-  // provably not executed, so the replay cannot double-apply.
+  // A bit-flipped frame draws the server's typed "bad frame" reject, which
+  // fails the attempt without executing it; the replay is the only run.
   auto fault = std::make_shared<FaultInjector>();
   auto opts = FastRetryOptions();
   opts.fault = fault;
@@ -330,9 +330,8 @@ TEST_F(ChaosServerTest, PublishCorruptFrameIsReplayedExactlyOnce) {
   const uint64_t rpcs_before = t->stats().rpcs;
   auto published = t->Publish(pub);
   ASSERT_TRUE(published.ok()) << published.status().ToString();
-  // The reject classified the attempt not executed, so the publish was
-  // replayed straight away: the corrupt send, the re-dial's Hello, the
-  // replay — and no head-inspection probes (Head/Get) in between.
+  // The reject fails the attempt and the publish is replayed straight
+  // away: the corrupt send, the re-dial's Hello, the replay.
   EXPECT_EQ(t->stats().rpcs - rpcs_before, 3u);
   EXPECT_EQ(t->stats().retries, 1u);
 
@@ -343,72 +342,109 @@ TEST_F(ChaosServerTest, PublishCorruptFrameIsReplayedExactlyOnce) {
 
 TEST_F(ChaosServerTest, PublishLostAckResolvesAsAppliedWithoutDuplicate) {
   // The classic lost ack: the full publish frame reached the server (which
-  // applied it), but the connection died before the response. A blind
-  // replay would land a second, degenerate merge commit; the transport
-  // must instead prove the publish applied by head inspection and return
-  // success with the commit the server actually wrote.
-  auto fault = std::make_shared<FaultInjector>();
-  auto opts = FastRetryOptions();
-  opts.fault = fault;
-  auto t = Connect(opts);
-  ASSERT_NE(t, nullptr);
+  // applies it), but the connection died before the response. The
+  // transport replays it like any other failed RPC; the server finds the
+  // deterministic content commit already reachable from the head and acks
+  // the original landing instead of executing twice. Run twice: once where
+  // the original lands as a clean commit, and once where another writer
+  // moved the head first, so the original lands as a merge commit whose
+  // second parent is the content commit.
+  auto executions = [this] {
+    const CommitCombiner::Stats cs = servlet_->combiner()->stats();
+    return cs.solo_commits + cs.combined_commits + cs.fallbacks;
+  };
+  for (const bool stale_head : {false, true}) {
+    SCOPED_TRACE(stale_head ? "lands as a merge" : "lands clean");
+    const std::string branch = stale_head ? "merged" : "main";
+    const uint64_t executions_before = executions();
+    auto fault = std::make_shared<FaultInjector>();
+    auto opts = FastRetryOptions();
+    opts.fault = fault;
+    auto t = Connect(opts);
+    ASSERT_NE(t, nullptr);
 
-  PosTree index(store_);
-  auto root1 = index.PutBatch(index.EmptyRoot(), MakeKvs(10));
-  ASSERT_TRUE(root1.ok());
-  net::PublishRequest first;
-  first.structure = "pos";
-  first.branch = "main";
-  first.new_root = *root1;
-  first.author = "chaos";
-  first.message = "first";
-  auto head0 = t->Publish(first);
-  ASSERT_TRUE(head0.ok());
+    PosTree index(store_);
+    auto root1 = index.PutBatch(index.EmptyRoot(), MakeKvs(10));
+    ASSERT_TRUE(root1.ok());
+    net::PublishRequest first;
+    first.structure = "pos";
+    first.branch = branch;
+    first.new_root = *root1;
+    first.author = "chaos";
+    first.message = "first";
+    auto head0 = t->Publish(first);
+    ASSERT_TRUE(head0.ok());
+    uint64_t acked = 1;
 
-  auto root2 = index.PutBatch(*root1, {{"chaos/second", "v"}});
-  ASSERT_TRUE(root2.ok());
-  net::PublishRequest second;
-  second.structure = "pos";
-  second.branch = "main";
-  second.new_root = *root2;
-  second.author = "chaos";
-  second.message = "second";
-  second.expected_head = head0->head;
+    if (stale_head) {
+      auto other_root = index.PutBatch(*root1, {{"chaos/other", "v"}});
+      ASSERT_TRUE(other_root.ok());
+      net::PublishRequest other = first;
+      other.new_root = *other_root;
+      other.message = "other";
+      other.expected_head = head0->head;
+      auto other_t = Connect(FastRetryOptions());
+      ASSERT_NE(other_t, nullptr);
+      ASSERT_TRUE(other_t->Publish(other).ok());
+      ++acked;
+    }
 
-  fault->ScriptNext({FaultKind::kResetAfterSend, 0});
-  auto published = t->Publish(second);
-  ASSERT_TRUE(published.ok()) << published.status().ToString();
-  EXPECT_EQ(fault->stats().resets_after_send, 1u);
+    auto root2 = index.PutBatch(*root1, {{"chaos/second", "v"}});
+    ASSERT_TRUE(root2.ok());
+    net::PublishRequest second;
+    second.structure = "pos";
+    second.branch = branch;
+    second.new_root = *root2;
+    second.author = "chaos";
+    second.message = "second";
+    second.expected_head = head0->head;
 
-  // The resolution returned the very commit the server wrote: the digest
-  // is decidable client-side because commits are content-addressed.
-  Commit want;
-  want.root = *root2;
-  want.parents.push_back(head0->head);
-  want.author = "chaos";
-  want.message = "second";
-  want.sequence = 1;
-  EXPECT_EQ(published->commit, Sha256::Digest(want.Encode()));
+    const auto ts_before = t->stats();
+    fault->ScriptNext({FaultKind::kResetAfterSend, 0});
+    auto published = t->Publish(second);
+    ASSERT_TRUE(published.ok()) << published.status().ToString();
+    ++acked;
+    EXPECT_EQ(fault->stats().resets_after_send, 1u);
+    // The lost ack costs what any failed RPC costs: the faulted send, the
+    // re-dial's Hello, the replay — one retry, no probes in between.
+    EXPECT_EQ(t->stats().rpcs - ts_before.rpcs, 3u);
+    EXPECT_EQ(t->stats().retries - ts_before.retries, 1u);
 
-  // Exactly two commits on the branch, each message exactly once: the
-  // applied-but-unacked publish was NOT replayed.
-  EXPECT_EQ(servlet_->branches()->branch_stats("main").commits, 2u);
-  EXPECT_EQ(MessageCount(published->head, "first"), 1);
-  EXPECT_EQ(MessageCount(published->head, "second"), 1);
+    // The ack carries the very commit the original wrote: the content
+    // commit is deterministic, so its digest is decidable client-side.
+    Commit want;
+    want.root = *root2;
+    want.parents.push_back(head0->head);
+    want.author = "chaos";
+    want.message = "second";
+    want.sequence = 1;
+    EXPECT_EQ(published->commit, Sha256::Digest(want.Encode()));
 
-  // And the acked state is really there.
-  auto head = t->Head("main");
-  ASSERT_TRUE(head.ok());
-  auto commit = servlet_->branches()->ReadCommit(*head);
-  ASSERT_TRUE(commit.ok());
-  auto got = index.Get(commit->root, "chaos/second", nullptr);
-  ASSERT_TRUE(got.ok());
-  ASSERT_TRUE(got->has_value());
+    // One execution per acked publish (a deduplicated replay executes
+    // nothing), one head movement each, and each message exactly once.
+    EXPECT_EQ(executions() - executions_before, acked);
+    EXPECT_EQ(servlet_->branches()->branch_stats(branch).commits, acked);
+    EXPECT_EQ(MessageCount(published->head, "first"), 1);
+    EXPECT_EQ(MessageCount(published->head, "second"), 1);
+    if (stale_head) {
+      EXPECT_EQ(MessageCount(published->head, "other"), 1);
+    }
+
+    // And the acked state is really there.
+    auto head = t->Head(branch);
+    ASSERT_TRUE(head.ok());
+    auto commit = servlet_->branches()->ReadCommit(*head);
+    ASSERT_TRUE(commit.ok());
+    auto got = index.Get(commit->root, "chaos/second", nullptr);
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(got->has_value());
+  }
 }
 
 TEST_F(ChaosServerTest, PublishLostAckOnBranchCreationResolves) {
   // Lost ack on the very first commit of a branch (no expected_head):
-  // resolution must handle the no-parent reconstruction too.
+  // whichever of original and replay runs second loses the create CAS,
+  // and the server's dedup finds the parentless content commit.
   auto fault = std::make_shared<FaultInjector>();
   auto opts = FastRetryOptions();
   opts.fault = fault;
@@ -662,7 +698,7 @@ TEST_F(ChaosServerTest, ShortWriteAtEveryOffsetBoundaryRecovers) {
 TEST_F(ChaosServerTest, PublishShortWriteOneByteShortIsTornNotExecuted) {
   // Cut one byte before the end: the server never sees a complete frame,
   // so the publish provably did not execute and the replay is the first
-  // execution — exactly one commit, via the replay path (not resolution).
+  // execution — exactly one commit.
   auto fault = std::make_shared<FaultInjector>();
   auto opts = FastRetryOptions();
   opts.fault = fault;
@@ -704,11 +740,11 @@ TEST_F(ChaosServerTest, PublishShortWriteOneByteShortIsTornNotExecuted) {
   EXPECT_EQ(cs.solo_commits + cs.combined_commits + cs.fallbacks, 1u);
 }
 
-TEST_F(ChaosServerTest, PublishShortWriteOfFullFrameIsAmbiguousNotReplayed) {
+TEST_F(ChaosServerTest, PublishShortWriteOfFullFrameExecutesOnce) {
   // Cut *at* the frame size: every byte was delivered before the close, so
-  // the server executed the publish and only the ack was lost. Classifying
-  // this torn (kNotExecuted) would blindly replay an applied commit; it
-  // must classify ambiguous and prove the publish applied instead.
+  // the server executes the publish and only the ack is lost. The
+  // transport replays it like any failed attempt; the server's replay
+  // dedup keeps that to one execution.
   auto fault = std::make_shared<FaultInjector>();
   auto opts = FastRetryOptions();
   opts.fault = fault;
@@ -741,8 +777,8 @@ TEST_F(ChaosServerTest, PublishShortWriteOfFullFrameIsAmbiguousNotReplayed) {
   ASSERT_TRUE(published.ok()) << published.status().ToString();
   EXPECT_EQ(servlet_->branches()->branch_stats("main").commits, 1u);
   EXPECT_EQ(MessageCount(published->head, "delivered-boundary"), 1);
-  // ONE execution, and it was the original send — resolution, not replay.
-  // A torn misclassification would score 2 here.
+  // ONE execution: whichever of original and replay ran second found the
+  // content commit already landed and executed nothing.
   const CommitCombiner::Stats cs = servlet_->combiner()->stats();
   EXPECT_EQ(cs.solo_commits + cs.combined_commits + cs.fallbacks, 1u);
 }
@@ -750,7 +786,7 @@ TEST_F(ChaosServerTest, PublishShortWriteOfFullFrameIsAmbiguousNotReplayed) {
 // --- pipelining × chaos ------------------------------------------------
 
 TEST_F(ChaosServerTest, PublishLostAckResolvesUnderPipelinedConcurrentTraffic) {
-  // The lost-ack resolution rerun with the connection pipelined and busy:
+  // The lost-ack replay rerun with the connection pipelined and busy:
   // concurrent readers share the transport before and after the faulted
   // publish, and exactly-once must still hold.
   auto fault = std::make_shared<FaultInjector>();
@@ -1116,7 +1152,7 @@ TEST(ChaosProcessTest, ForkedClientsCommitThroughRandomFaults) {
 TEST(ChaosThreadedTest, ThreadedClientsCommitThroughRandomFaults) {
   // The forked stress's routine on K threads of this process, so the
   // sanitizers (TSan included, which cannot host the forked variant) see
-  // the retry/reconnect/publish-resolution paths race each other and the
+  // the retry/reconnect/publish-replay paths race each other and the
   // server's combiner inside one address space.
   const int kClients = 4;
   const int kCommitsEach = ChaosHeavy() ? 10 : 3;

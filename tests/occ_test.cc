@@ -305,12 +305,12 @@ TEST_F(OccTest, RacingBranchCreationMergesFromEmptyBase) {
 }
 
 // A lost-ack replay: the identical (root, expected_head, author, message)
-// arrives again after the original execution landed — the transport does
-// this when its ambiguity probes raced the original still sitting inside
-// a combine window or CAS retry. The content commit is deterministic, so
-// the retry driver finds it already reachable from the head and returns
-// the original landing WITHOUT executing: exactly-once, no new commits,
-// head untouched.
+// arrives again after the original execution landed — the socket
+// transport replays every publish whose ack it lost, so this dedup is
+// what keeps those publishes exactly-once. The content commit is
+// deterministic, so the retry driver finds it already reachable from the
+// head and returns the original landing WITHOUT executing: no new
+// commits, head untouched.
 TEST_F(OccTest, ReplayOfLandedPublishDeduplicatesInsteadOfReExecuting) {
   auto c0 = mgr_->CommitOnBranch("main", base_root_, "init", "base");
   ASSERT_TRUE(c0.ok());
