@@ -48,7 +48,7 @@ enum class FaultKind : uint8_t {
   /// Send the full request, then close before reading the response: the
   /// classic lost-ack. The request may or may not have executed; the
   /// replay is safe either way — a Publish whose original landed is
-  /// deduplicated by the server (CommitAlreadyApplied, version/occ.h).
+  /// deduplicated by the server (PublishBatch, version/occ.h).
   kResetAfterSend,
   /// Sleep before sending (a slow client / congested path).
   kDelaySend,

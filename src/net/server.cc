@@ -74,7 +74,9 @@ Status SiriServer::Listen(int port) {
     close(fd);
     return s;
   }
-  if (listen(fd, opts_.listen_backlog) != 0) {
+  // Backlog: connections queued before accept. Forked client processes
+  // may all connect before the server thread first runs.
+  if (listen(fd, 64) != 0) {
     const Status s = Errno("listen");
     close(fd);
     return s;
@@ -361,12 +363,10 @@ void SiriServer::WorkerLoop() {
 bool SiriServer::ProcessConnection(Connection* conn) {
   // Per-connection in-flight memory bound: the connection's buffer never
   // grows past one maximum frame (plus header room) before the frames in
-  // it are executed and their memory reclaimed. A cap below one max frame
-  // could never make progress, so it is floored there.
-  const uint64_t buffer_cap =
-      opts_.max_buffered_bytes > 0
-          ? std::max(opts_.max_buffered_bytes, opts_.max_frame_bytes + 64)
-          : opts_.max_frame_bytes + 1024;
+  // it are executed and their memory reclaimed. A client that streams
+  // requests faster than the worker drains them is paused here instead
+  // of growing the buffer without limit.
+  const uint64_t buffer_cap = opts_.max_frame_bytes + 1024;
   bool peer_closed = false;
   bool would_block = false;
   std::string payload;
@@ -557,23 +557,21 @@ void SiriServer::ExecuteOp(const Request& req, Status* app,
       PutHash(body, servlet_->store()->Put(req.bytes));
       return;
     case MsgType::kPutMany: {
-      if (opts_.verify_uploads) {
-        // The socket is a trust boundary: re-digest every uploaded node
-        // (in parallel — batches are exactly Sha256Pool's regime) and
-        // reject the whole batch on any mismatch, before the store sees
-        // it. A corrupted upload must not land in the content-addressed
-        // store under a digest it does not hash to.
-        std::vector<std::shared_ptr<const std::string>> pages;
-        pages.reserve(req.batch.size());
-        for (const NodeRecord& rec : req.batch) pages.push_back(rec.bytes);
-        const std::vector<Hash> digests = Sha256Pool::Shared().DigestAll(pages);
-        for (size_t i = 0; i < req.batch.size(); ++i) {
-          if (digests[i] != req.batch[i].hash) {
-            *app = Status::InvalidArgument(
-                "uploaded node digest mismatch at batch index " +
-                std::to_string(i));
-            return;
-          }
+      // The socket is a trust boundary: re-digest every uploaded node
+      // (in parallel — batches are exactly Sha256Pool's regime) and
+      // reject the whole batch on any mismatch, before the store sees
+      // it. A corrupted upload must not land in the content-addressed
+      // store under a digest it does not hash to.
+      std::vector<std::shared_ptr<const std::string>> pages;
+      pages.reserve(req.batch.size());
+      for (const NodeRecord& rec : req.batch) pages.push_back(rec.bytes);
+      const std::vector<Hash> digests = Sha256Pool::Shared().DigestAll(pages);
+      for (size_t i = 0; i < req.batch.size(); ++i) {
+        if (digests[i] != req.batch[i].hash) {
+          *app = Status::InvalidArgument(
+              "uploaded node digest mismatch at batch index " +
+              std::to_string(i));
+          return;
         }
       }
       servlet_->store()->PutMany(req.batch);

@@ -71,15 +71,6 @@ struct ServerOptions {
   /// Frames beyond this are rejected as corrupt (see net/wire.h).
   uint64_t max_frame_bytes = kDefaultMaxFrameBytes;
 
-  /// listen(2) backlog: connections queued before accept. Forked client
-  /// processes may all connect before the server thread first runs.
-  int listen_backlog = 64;
-
-  /// Re-digest every node a PutMany uploads and reject the batch on any
-  /// mismatch. The in-process boundary trusts its caller (same address
-  /// space); a socket is a trust boundary.
-  bool verify_uploads = true;
-
   /// Connection cap (0 = unlimited). Enforced at Hello time, not accept
   /// time: the reject travels as a typed ResourceExhausted *response*
   /// before the close, so the client sees a clean "back off and retry"
@@ -90,12 +81,6 @@ struct ServerOptions {
   /// loop's periodic tick (0 = never). In-flight connections (owned by a
   /// worker or queued for one) are never reaped mid-request.
   int idle_timeout_ms = 0;
-
-  /// Per-connection cap on bytes buffered but not yet executed (0 = one
-  /// max-size frame plus header room). A client that streams requests
-  /// faster than the worker drains them is paused at this bound instead
-  /// of growing the connection's buffer without limit.
-  uint64_t max_buffered_bytes = 0;
 
   /// Byte budget for the combiner-aware cache push: when a client asks
   /// (`want_push`), a Publish ack carries the combined publish's staged

@@ -661,7 +661,7 @@ Result<std::string> SocketTransport::Call(Request* req) {
     // Every failed attempt is safe to replay, whether or not the server
     // ran it: reads and content-addressed writes re-store identical bytes,
     // and a Publish whose original landed is deduplicated server-side
-    // (CommitAlreadyApplied, version/occ.h).
+    // (PublishBatch, version/occ.h).
     if (r.permanent || !opts_.auto_reconnect) return last;
   }
   return Status::Unavailable("retry policy exhausted after " +

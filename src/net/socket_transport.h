@@ -37,10 +37,9 @@
 // was lost is answered by the server's replay dedup instead of executing
 // twice. A publish's content commit is deterministic in (root,
 // expected_head, author, message), so the server decides "did this land?"
-// where the head CAS serializes it — CommitAlreadyApplied in
-// version/occ.h, including an original and its replay combined into one
-// batch (version/group_commit.h) — and acks the replay with the commit
-// the original wrote.
+// where the head CAS serializes it — PublishBatch in version/occ.h,
+// including an original and its replay combined into one batch — and
+// acks the replay with the commit the original wrote.
 //
 // When the policy is exhausted without an answer the RPC fails with a
 // typed Status::Unavailable — "the op may not have run" — never with a

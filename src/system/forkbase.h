@@ -111,13 +111,12 @@ class NodeCache {
 /// NodeStore honors its thread-safety contract; the BranchManager is
 /// internally thread-safe, so K writer clients may commit to the same
 /// branch concurrently — head movement is an optimistic CAS (typed
-/// Conflict on a lost race) and the merge retry driver in version/occ.h
-/// turns losses into two-parent merge commits.
+/// Conflict on a lost race) and the publish algorithm in version/occ.h
+/// turns losses into merge commits.
 class ForkbaseServlet {
  public:
   /// \param group_commit tuning for the combining commit queue; the
-  ///        defaults give a 200µs publish window. Committers opt in by
-  ///        publishing through combiner() instead of CommitWithMerge.
+  ///        defaults give a 200µs publish window.
   explicit ForkbaseServlet(NodeStorePtr store,
                            GroupCommitOptions group_commit = {})
       : store_(std::move(store)),
@@ -131,11 +130,11 @@ class ForkbaseServlet {
   BranchManager* branches() { return &branches_; }
 
   /// The group-commit publish pipeline over branches(): K concurrent
-  /// committers of one branch batch into one combined merge + one staged
-  /// flush + one head swing (version/group_commit.h). Committers that
-  /// want per-commit publishes keep calling CommitWithMerge directly —
-  /// both paths are safe concurrently (the combiner is just another OCC
-  /// writer).
+  /// committers of one branch batch into one PublishBatch — one combined
+  /// merge + one staged flush + one head swing (version/group_commit.h).
+  /// A lone committer's batch of one is exactly CommitWithMerge, which
+  /// callers may also use directly: both are the same algorithm and are
+  /// safe concurrently (each publish is just another OCC writer).
   CommitCombiner* combiner() { return &combiner_; }
 
   /// Registers a server-side index (it must be bound to this servlet's

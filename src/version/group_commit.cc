@@ -4,31 +4,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 #include <utility>
-
-#include "crypto/sha256.h"
-#include "store/staging_store.h"
 
 namespace siri {
 
-namespace {
-
-// The combined commit's parents are [head] + one content commit per
-// member, and commit objects decode at most 16 parents — so a batch can
-// hold 1..15 members. Clamping here (instead of trusting the caller)
-// keeps a bad config from writing an undecodable head or hanging the
-// gather loop.
-GroupCommitOptions ClampOptions(GroupCommitOptions opts) {
-  if (opts.max_batch < 1) opts.max_batch = 1;
-  if (opts.max_batch > 15) opts.max_batch = 15;
-  return opts;
-}
-
-}  // namespace
-
 CommitCombiner::CommitCombiner(BranchManager* mgr, GroupCommitOptions opts)
-    : mgr_(mgr), opts_(ClampOptions(std::move(opts))) {}
+    : mgr_(mgr), opts_(std::move(opts)) {}
 
 CommitCombiner::~CommitCombiner() { Shutdown(); }
 
@@ -66,298 +47,37 @@ CommitCombiner::Stats CommitCombiner::stats() const {
   return s;
 }
 
-void CommitCombiner::RunBatch(const std::vector<Request*>& batch) {
-  // One publish writes parents = [head] + one content commit per member;
-  // commit objects decode at most 16 parents. Publish gathers at most
-  // max_batch and PublishCombined chunks, so this is a programming-error
-  // backstop, not a reachable state.
-  SIRI_CHECK(batch.size() <= static_cast<size_t>(opts_.max_batch));
-  if (batch.size() == 1) {
-    // Solo publish: the individual retry driver IS the fast path — no
-    // combined wrapper, no window, no extra commit object. The lane stays
-    // held while this runs, so committers arriving during the flush pile
-    // up and form the next (combined) batch.
-    Request* r = batch[0];
-    const PublishSpec& s = *r->spec;
-    r->result = CommitWithMerge(mgr_, s.index, s.branch, s.new_root, s.author,
-                                s.message, s.expected_head, opts_.merge);
-    // A replay whose original already landed executed nothing — keeping
-    // it out of the count is what makes solo+combined+fallbacks equal
-    // the number of commits actually applied (exactly-once accounting).
-    if (!(r->result->ok() && (*r->result)->already_applied)) {
-      solo_commits_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return;
+std::vector<PublishOutcome> CommitCombiner::RunBatch(
+    const std::vector<const PublishSpec*>& specs) {
+  std::vector<PublishOutcome> out = PublishBatch(mgr_, specs, opts_.merge);
+  // Commits the head swing executed; acks of an earlier landing (lost-ack
+  // replays) executed nothing.
+  uint64_t executed = 0;
+  for (const PublishOutcome& o : out) {
+    if (o && o->ok() && !(*o)->already_applied) ++executed;
   }
-
-  const std::string& branch = batch[0]->spec->branch;
-  ImmutableIndex* index = batch[0]->spec->index;
-  auto fail_all = [](const std::vector<Request*>& reqs, const Status& st) {
-    for (Request* r : reqs) {
-      if (!r->result && !r->fallback) r->result = Result<MergeCommitResult>(st);
-    }
-  };
-
-  // Members that neither errored nor fell back yet; a lost head CAS (an
-  // outside writer swung the head mid-combine) re-runs the combine for
-  // exactly these.
-  std::vector<Request*> pending(batch.begin(), batch.end());
-  const int max_attempts = std::max(1, opts_.merge.max_retries);
-  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-    if (attempt > 1) {
-      const uint64_t us = MergeBackoffMicros(opts_.merge, attempt - 2);
-      if (us > 0) std::this_thread::sleep_for(std::chrono::microseconds(us));
-    }
-
-    // The head everyone merges onto this attempt (nullopt: creation race).
-    std::optional<Hash> head;
-    {
-      auto h = mgr_->Head(branch);
-      if (h.ok()) {
-        head = *h;
-      } else if (!h.status().IsNotFound()) {
-        fail_all(pending, h.status());
-        return;
-      }
-    }
-    Hash acc_root = index->EmptyRoot();
-    uint64_t max_seq = 0;
-    if (head) {
-      auto hc = mgr_->ReadCommit(*head);
-      if (!hc.ok()) {
-        fail_all(pending, hc.status());
-        return;
-      }
-      acc_root = hc->root;
-      max_seq = hc->sequence;
-    }
-
-    // One shared staging batch for the whole publish: every merged page
-    // and every commit object lands in ONE PutMany and ONE flush at the
-    // head CAS below.
-    auto staging = std::make_shared<StagingNodeStore>(index->store());
-
-    // The combine folds each member's (small) delta onto the accumulated
-    // chain — Merge3(acc, member, base) applies only the member's keys,
-    // not the whole chain's. That makes the accumulated side "ours" at
-    // the Merge3 layer, the opposite of CommitWithMerge, where the
-    // committer is "ours" — so the user resolver is adapted to see the
-    // member as "ours": an asymmetric resolver decides identically
-    // whether a commit lands through the combiner or an individual retry.
-    ConflictResolver member_resolver;
-    if (opts_.merge.resolver) {
-      const ConflictResolver& user = opts_.merge.resolver;
-      member_resolver = [&user](const std::string& key,
-                                const std::optional<std::string>& acc_side,
-                                const std::optional<std::string>& member_side) {
-        return user(key, member_side, acc_side);
-      };
-    }
-    std::vector<Request*> landed;
-    std::vector<Hash> content_hashes;
-    // Content digests staged this attempt → the member that staged them.
-    // A second member with the same digest is the replay of the first
-    // (content commits are deterministic), caught below.
-    std::unordered_map<Hash, Request*, HashHasher> batch_digests;
-    // (replay, original) pairs whose replay acks the original's landing.
-    std::vector<std::pair<Request*, Request*>> twins;
-
-    for (Request* r : pending) {
-      const PublishSpec& s = *r->spec;
-      // The member's content commit, preserving its own lineage — exactly
-      // the commit the individual path would have written. Built (and its
-      // parent read) BEFORE any merge work so every fallible step is
-      // behind us once pages flow into the shared batch: a member that
-      // fails writes zero pages.
-      Commit ours;
-      ours.root = s.new_root;
-      ours.author = s.author;
-      ours.message = s.message;
-      if (s.expected_head) {
-        ours.parents.push_back(*s.expected_head);
-        auto parent = mgr_->ReadCommit(*s.expected_head);
-        if (!parent.ok()) {
-          r->result = Result<MergeCommitResult>(parent.status());
-          continue;
-        }
-        ours.sequence = parent->sequence + 1;
-      }
-      const std::string ours_bytes = ours.Encode();
-      const Hash ours_digest = Sha256::Digest(ours_bytes);
-
-      // Exactly-once under lost acks, mirroring the individual retry
-      // driver: a member with a STALE expectation may be the replay of a
-      // publish that already executed (its ack was lost mid-flight). The
-      // content commit is deterministic, so history reachability decides.
-      // An expectation that still matches the head is provably
-      // un-applied — a landing would have moved the head — so the walk
-      // costs nothing on the uncontended path.
-      if (head && s.expected_head != head) {
-        auto applied =
-            CommitAlreadyApplied(mgr_, *head, ours_digest, ours.sequence);
-        if (!applied.ok()) {
-          r->result = Result<MergeCommitResult>(applied.status());
-          continue;
-        }
-        if (*applied) {
-          MergeCommitResult mr;
-          mr.head = *head;
-          mr.commit = ours_digest;
-          mr.cas_failures = attempt - 1;
-          mr.already_applied = true;
-          r->result = Result<MergeCommitResult>(std::move(mr));
-          continue;
-        }
-      }
-      // The replay can also land in the SAME batch as its original (the
-      // original was still queued behind an in-flight publish when the
-      // replay arrived). Stage the content commit once, ack both —
-      // folding it twice would double-count and write a combined commit
-      // with duplicate parents.
-      auto twin = batch_digests.find(ours_digest);
-      if (twin != batch_digests.end()) {
-        twins.emplace_back(r, twin->second);
-        continue;
-      }
-
-      // Base of this member's delta: the merge base of what it built on
-      // and the branch history it is folding into.
-      Hash base_root = index->EmptyRoot();
-      if (head) {
-        auto br = MergeBaseRoot(mgr_, index, s.expected_head, *head);
-        if (!br.ok()) {
-          r->result = Result<MergeCommitResult>(br.status());
-          continue;
-        }
-        base_root = *br;
-      }
-
-      Hash merged_root;
-      if (acc_root == base_root) {
-        merged_root = s.new_root;  // fast-forward: nothing landed since base
-      } else if (s.new_root == base_root) {
-        merged_root = acc_root;  // empty delta: nothing of ours to fold in
-      } else {
-        // Nested per-member staging: a member that conflicts mid-merge is
-        // dropped WITH its partial pages — a failed combine member writes
-        // zero pages to the shared batch, let alone the store.
-        auto nested = std::make_shared<StagingNodeStore>(staging.get());
-        auto nested_index = index->WithStore(nested);
-        auto merged = nested_index->Merge3(acc_root, s.new_root, base_root,
-                                           member_resolver);
-        if (!merged.ok()) {
-          if (merged.status().IsConflict()) {
-            // This member races another member of its own batch on a key:
-            // send it to the individual CommitWithMerge retry, where the
-            // per-commit conflict surface (and resolver) applies. (The
-            // fallback counter is bumped at the retry site — Publish /
-            // PublishCombined — once the retry proves it actually
-            // executed rather than deduplicating a replay.)
-            r->fallback = true;
-          } else {
-            r->result = Result<MergeCommitResult>(merged.status());
-          }
-          continue;
-        }
-        nested->FlushBatch();  // relays pre-digested records; no re-hash
-        merged_root = *merged;
-      }
-
-      r->content = staging->Put(ours_bytes);
-      content_hashes.push_back(r->content);
-      batch_digests.emplace(ours_digest, r);
-      max_seq = std::max(max_seq, ours.sequence);
-      acc_root = merged_root;
-      landed.push_back(r);
-    }
-
-    if (landed.empty()) return;  // every member conflicted or errored
-
-    // The combined commit: parents = [prior head, content_1 … content_K].
-    // A batch that shrank to one member whose expectation still matches
-    // the head needs no wrapper — that is just the plain fast path.
-    Hash desired;
-    int wrapper = 0;
-    if (landed.size() == 1 && landed[0]->spec->expected_head == head) {
-      desired = landed[0]->content;
-    } else {
-      Commit combined;
-      combined.root = acc_root;
-      if (head) combined.parents.push_back(*head);
-      combined.parents.insert(combined.parents.end(), content_hashes.begin(),
-                              content_hashes.end());
-      combined.author = "group-commit";
-      combined.message =
-          "combine: " + std::to_string(landed.size()) + " commits";
-      combined.sequence = max_seq + 1;
-      desired = staging->Put(combined.Encode());
-      wrapper = 1;
-    }
-
-    // Capture the staged set before the CAS flushes and clears it: the
-    // publish-ack cache push ships this batch — the nodes every losing
-    // committer re-reads next round — back to the clients.
-    auto staged = std::make_shared<const NodeBatch>(staging->staged_batch());
-    // One head swing for the whole batch. CompareAndSwapHead pre-checks,
-    // flushes the staged batch (ONE PutMany + ONE store flush), re-checks
-    // and swings — durability precedes visibility, exactly like the
-    // per-commit path.
-    CasResult cas =
-        mgr_->CompareAndSwapHead(branch, head, desired, staging.get());
-    if (cas.ok()) {
-      for (Request* r : landed) {
-        MergeCommitResult mr;
-        mr.head = desired;
-        mr.commit = r->content;
-        mr.cas_failures = attempt - 1;
-        mr.merge_commits = wrapper;
-        mr.staged = staged;
-        r->result = Result<MergeCommitResult>(std::move(mr));
-      }
-      // Twins ack their original's landing: same commit, same head, but
-      // no second execution — they stay out of the landed count below.
-      for (auto& [replay, original] : twins) {
-        MergeCommitResult mr;
-        mr.head = desired;
-        mr.commit = original->content;
-        mr.cas_failures = attempt - 1;
-        mr.merge_commits = wrapper;
-        mr.staged = staged;
-        mr.already_applied = true;
-        replay->result = Result<MergeCommitResult>(std::move(mr));
-      }
-      publishes_.fetch_add(1, std::memory_order_relaxed);
-      if (landed.size() >= 2) {
-        combined_commits_.fetch_add(landed.size(), std::memory_order_relaxed);
-        mgr_->RecordCombinedCommits(branch, landed.size());
-      } else {
-        solo_commits_.fetch_add(1, std::memory_order_relaxed);
-      }
-      uint64_t seen = max_batch_seen_.load(std::memory_order_relaxed);
-      while (seen < landed.size() &&
-             !max_batch_seen_.compare_exchange_weak(
-                 seen, landed.size(), std::memory_order_relaxed)) {
-      }
-      return;
-    }
-    if (!cas.status.IsConflict()) {
-      fail_all(landed, cas.status);
-      return;
-    }
-    // An outside writer swung the head mid-combine. The staged attempt is
-    // dropped (or, if the re-check after the flush lost, is harmless
-    // content-addressed garbage); re-combine the clean members against
-    // the new head. Twins rejoin as ordinary members — against the new
-    // head their original may dedup them (or land them) afresh.
-    pending = std::move(landed);
-    for (auto& tw : twins) pending.push_back(tw.first);
+  if (executed == 0) return out;
+  publishes_.fetch_add(1, std::memory_order_relaxed);
+  (executed == 1 ? solo_commits_ : combined_commits_)
+      .fetch_add(executed, std::memory_order_relaxed);
+  uint64_t seen = max_batch_seen_.load(std::memory_order_relaxed);
+  while (seen < executed &&
+         !max_batch_seen_.compare_exchange_weak(seen, executed,
+                                                std::memory_order_relaxed)) {
   }
-  // Batch retries exhausted against outside writers: every remaining
-  // member retries individually, where per-commit backoff applies.
-  for (Request* r : pending) {
-    if (r->result || r->fallback) continue;
-    r->fallback = true;
+  return out;
+}
+
+Result<MergeCommitResult> CommitCombiner::RunFallback(
+    const PublishSpec& spec) {
+  auto res = CommitWithMerge(mgr_, spec.index, spec.branch, spec.new_root,
+                             spec.author, spec.message, spec.expected_head,
+                             opts_.merge);
+  // Counted unless the republish only acked an earlier landing.
+  if (!(res.ok() && res->already_applied)) {
+    fallbacks_.fetch_add(1, std::memory_order_relaxed);
   }
+  return res;
 }
 
 Result<MergeCommitResult> CommitCombiner::Publish(const PublishSpec& spec) {
@@ -378,23 +98,29 @@ Result<MergeCommitResult> CommitCombiner::Publish(const PublishSpec& spec) {
           // stragglers up to the window; a solo committer publishes
           // immediately and never waits.
           if (opts_.window_micros > 0 && lane.queue.size() > 1 &&
-              lane.queue.size() < static_cast<size_t>(opts_.max_batch)) {
+              lane.queue.size() < kMaxBatch) {
             const auto deadline =
                 std::chrono::steady_clock::now() +
                 std::chrono::microseconds(opts_.window_micros);
-            while (lane.queue.size() < static_cast<size_t>(opts_.max_batch) &&
+            while (lane.queue.size() < kMaxBatch &&
                    lane.cv.wait_until(lock.native(), deadline) !=
                        std::cv_status::timeout) {
             }
           }
           std::vector<Request*> group;
-          while (!lane.queue.empty() &&
-                 group.size() < static_cast<size_t>(opts_.max_batch)) {
+          std::vector<const PublishSpec*> specs;
+          while (!lane.queue.empty() && group.size() < kMaxBatch) {
             group.push_back(lane.queue.front());
+            specs.push_back(lane.queue.front()->spec);
             lane.queue.pop_front();
           }
           lock.Unlock();
-          RunBatch(group);
+          std::vector<PublishOutcome> outcomes = RunBatch(specs);
+          // Written before `done` is set under mu_: each owner reads its
+          // result only after seeing `done`.
+          for (size_t i = 0; i < group.size(); ++i) {
+            group[i]->result = std::move(outcomes[i]);
+          }
           lock.Lock();
           for (Request* r : group) r->done = true;
           lane.leader_active = false;
@@ -415,57 +141,33 @@ Result<MergeCommitResult> CommitCombiner::Publish(const PublishSpec& spec) {
       }
     }
   }
-  if (req.done && !req.fallback) return std::move(*req.result);
-  // Shutdown, or this member fell out of its combined batch: individual
-  // CommitWithMerge retry on the caller's own thread — same semantics,
-  // just uncombined.
-  auto res = CommitWithMerge(mgr_, spec.index, spec.branch, spec.new_root,
-                             spec.author, spec.message, spec.expected_head,
-                             opts_.merge);
-  // Counted here, not where the member fell out of its batch: a fallback
-  // whose retry discovered the commit already applied (a lost-ack replay)
-  // executed nothing, and must stay out of the executed-commit tally.
-  if (req.fallback && !(res.ok() && res->already_applied)) {
-    fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return res;
+  // Shut down: publish uncombined, as a batch of one.
+  if (!req.done) req.result = std::move(RunBatch({&spec})[0]);
+  if (req.result) return std::move(*req.result);
+  // This member fell out of its batch: it publishes again alone, on its
+  // own thread.
+  return RunFallback(spec);
 }
 
 std::vector<Result<MergeCommitResult>> CommitCombiner::PublishCombined(
     const std::vector<PublishSpec>& specs) {
-  std::vector<Request> requests(specs.size());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    SIRI_CHECK(specs[i].branch == specs[0].branch);
-    requests[i].spec = &specs[i];
+  // Chain of maximal batches: later chunks chain on the head the earlier
+  // ones swung.
+  std::vector<PublishOutcome> outcomes;
+  outcomes.reserve(specs.size());
+  for (size_t start = 0; start < specs.size(); start += kMaxBatch) {
+    std::vector<const PublishSpec*> chunk;
+    for (size_t i = start; i < std::min(specs.size(), start + kMaxBatch);
+         ++i) {
+      chunk.push_back(&specs[i]);
+    }
+    for (PublishOutcome& o : RunBatch(chunk)) outcomes.push_back(std::move(o));
   }
-  // Chain of maximal batches: one publish holds at most max_batch
-  // members (the 16-parent commit format), so an oversized spec vector
-  // lands as several combined commits, later chunks chaining on the
-  // head the earlier ones swung.
-  for (size_t start = 0; start < requests.size();
-       start += static_cast<size_t>(opts_.max_batch)) {
-    const size_t end = std::min(
-        requests.size(), start + static_cast<size_t>(opts_.max_batch));
-    std::vector<Request*> group;
-    group.reserve(end - start);
-    for (size_t i = start; i < end; ++i) group.push_back(&requests[i]);
-    RunBatch(group);
-  }
-
   std::vector<Result<MergeCommitResult>> out;
-  out.reserve(requests.size());
-  for (Request& r : requests) {
-    if (r.result) {
-      out.push_back(std::move(*r.result));
-      continue;
-    }
-    const PublishSpec& s = *r.spec;
-    auto res = CommitWithMerge(mgr_, s.index, s.branch, s.new_root, s.author,
-                               s.message, s.expected_head, opts_.merge);
-    if (r.fallback && !(res.ok() && res->already_applied)) {
-      fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    }
-    out.push_back(std::move(res));
+  out.reserve(specs.size());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    out.push_back(outcomes[i] ? std::move(*outcomes[i])
+                              : RunFallback(specs[i]));
   }
   return out;
 }

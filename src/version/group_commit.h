@@ -2,30 +2,29 @@
 //
 // Group-commit publish pipeline: a combining commit queue per branch.
 //
-// PR 4's contention benches exposed the single-branch ceiling: commits on
-// one hot branch land at most once per (merge CPU + flush), because the
-// winner's flush sits inside the OCC race window and every loser pays a
-// full Merge3 retry. The combiner lifts that ceiling by *batching the
-// publish*: when K committers race one branch, one of them (the leader)
-// folds all K staged deltas into a single combined merge chain, writes one
-// content commit per committer plus one combined commit whose parents are
-// [prior head, content_1 … content_K], and lands the whole thing with ONE
-// PutMany, ONE flush (= one fsync / one upload RPC), and ONE head swing.
-// Throughput then scales with the batch size instead of serializing per
-// winner.
+// Committers publishing one at a time land at most one commit per (merge
+// CPU + flush) on one hot branch, because the winner's flush sits inside
+// the OCC race window and every loser pays a full Merge3 retry. The
+// combiner lifts that ceiling by *batching the publish*: when K committers
+// race one branch, one of them (the leader) hands all K to PublishBatch
+// (version/occ.h), which folds their deltas onto the head and lands one
+// content commit per committer plus one merge commit whose parents are
+// [prior head, content_1 … content_K] with ONE PutMany, ONE flush (= one
+// fsync / one upload RPC), and ONE head swing. Throughput then scales
+// with the batch size instead of serializing per winner.
 //
 // Batching discipline:
 //   - A solo committer never waits: with nobody else queued, the leader
-//     publishes immediately (the fast path is exactly CommitWithMerge).
+//     publishes a batch of one immediately — exactly CommitWithMerge.
 //   - With company, the leader waits a short publish window
-//     (GroupCommitOptions::window_micros) for stragglers, then publishes.
-//     Committers arriving while a publish is in flight queue up and form
-//     the next batch — the in-flight publish is itself a natural window.
-//   - A committer whose delta conflicts inside the combined merge (or
-//     whose merge hard-fails) is dropped from the batch and falls back to
-//     an individual CommitWithMerge retry on its own thread; its partial
-//     merge output is staged in a nested batch that is discarded, so a
-//     failed combine member writes zero pages.
+//     (GroupCommitOptions::window_micros) for stragglers, then publishes
+//     up to kMaxBatch members. Committers arriving while a publish is in
+//     flight queue up and form the next batch — the in-flight publish is
+//     itself a natural window.
+//   - A member whose delta conflicts inside its batch publishes again
+//     alone, as a batch of one on its own thread; its partial merge
+//     output was staged in a nested batch that is discarded, so a failed
+//     member writes zero pages.
 //
 // The combiner has no threads of its own — leaders are committer threads —
 // so construction is free and shutdown only means draining waiters.
@@ -56,31 +55,9 @@ struct GroupCommitOptions {
   /// publishing, in microseconds. A solo committer never waits. 0 turns
   /// the window off (in-flight publishes still batch arrivals).
   uint64_t window_micros = 200;
-  /// Most committers combined into one publish. The combined commit's
-  /// parents are [prior head] + one content commit per committer, and
-  /// commit objects decode at most 16 parents, so the ceiling is 15 —
-  /// the combiner clamps out-of-range values into [1, 15].
-  int max_batch = 15;
-  /// Knobs for the merge work: resolver for divergent keys (applies to
-  /// the combined merge chain too), retry/backoff for the individual
-  /// CommitWithMerge fallback.
+  /// The publish's merge options: resolver for divergent keys, retry
+  /// budget and backoff, retry hook.
   MergeCommitOptions merge;
-};
-
-/// \brief One committer's publish request: everything CommitWithMerge
-/// takes, as a value the combiner can queue.
-///
-/// \c index must be bound to the store the new root's nodes live in; all
-/// committers of one branch must publish through indexes of the same
-/// structure over the same store (the combiner merges their deltas through
-/// the first request's index).
-struct PublishSpec {
-  ImmutableIndex* index = nullptr;
-  std::string branch;
-  Hash new_root;
-  std::string author;
-  std::string message;
-  std::optional<Hash> expected_head;  ///< head the committer built on
 };
 
 /// \brief Per-branch combining commit queue over a BranchManager.
@@ -95,11 +72,12 @@ class CommitCombiner {
   /// number of distinct commits applied — the server side of the
   /// exactly-once publish contract.
   struct Stats {
-    uint64_t publishes = 0;         ///< combined head swings that landed
+    uint64_t publishes = 0;         ///< leader batches that landed (one
+                                    ///< head swing each)
     uint64_t combined_commits = 0;  ///< commits landed in batches of ≥ 2
-    uint64_t solo_commits = 0;      ///< requests published alone (fast path)
-    uint64_t fallbacks = 0;         ///< combine members executed via the
-                                    ///< individual retry
+    uint64_t solo_commits = 0;      ///< commits landed by batches of one
+    uint64_t fallbacks = 0;         ///< members that fell out of their
+                                    ///< batch and published again alone
     uint64_t max_batch_seen = 0;    ///< largest batch landed so far
   };
 
@@ -117,18 +95,16 @@ class CommitCombiner {
   Result<MergeCommitResult> Publish(const PublishSpec& spec) EXCLUDES(mu_);
 
   /// Deterministic single-threaded combine of \p specs — exactly what a
-  /// leader does with a gathered batch, including running the individual
-  /// CommitWithMerge fallback for members that conflicted inside the
-  /// combined merge. More than max_batch specs publish as a chain of
-  /// maximal batches (the 16-parent commit format caps one publish).
-  /// All specs must name the same branch. Test and inspection entry;
-  /// results are index-aligned with \p specs.
+  /// leader does with a gathered batch, including the lone republish of
+  /// members that conflicted inside it. More than kMaxBatch specs publish
+  /// as a chain of maximal batches. All specs must name the same branch.
+  /// Test and inspection entry; results are index-aligned with \p specs.
   std::vector<Result<MergeCommitResult>> PublishCombined(
       const std::vector<PublishSpec>& specs);
 
   /// Drains the queue: blocks until every enqueued request has completed,
-  /// then routes future Publish calls straight to CommitWithMerge
-  /// (uncombined but still correct). Idempotent.
+  /// then publishes future Publish calls as uncombined batches of one on
+  /// the caller's thread. Idempotent.
   void Shutdown() EXCLUDES(mu_);
 
   Stats stats() const;
@@ -139,12 +115,8 @@ class CommitCombiner {
   struct Request {
     const PublishSpec* spec = nullptr;
     bool done = false;
-    /// Set instead of `result` when this member must retry individually
-    /// (combined-merge conflict, batch retries exhausted, or solo fast
-    /// path — which IS the individual path).
-    bool fallback = false;
-    Hash content;  ///< this member's content commit, once staged
-    std::optional<Result<MergeCommitResult>> result;
+    /// Unset once done when the member fell out of its batch.
+    PublishOutcome result;
   };
 
   struct Lane {
@@ -157,11 +129,13 @@ class CommitCombiner {
     std::condition_variable cv;
   };
 
-  /// Runs one gathered batch (same branch) to completion: combined merge
-  /// chain, one staged flush, one head CAS; marks each request's result or
-  /// fallback. Called without mu_ held; `done` flags are set by the
-  /// caller under mu_.
-  void RunBatch(const std::vector<Request*>& batch) EXCLUDES(mu_);
+  /// PublishBatch over \p specs, counted in the leader stats.
+  std::vector<PublishOutcome> RunBatch(
+      const std::vector<const PublishSpec*>& specs) EXCLUDES(mu_);
+
+  /// Publishes a member that fell out of its batch again, alone.
+  Result<MergeCommitResult> RunFallback(const PublishSpec& spec)
+      EXCLUDES(mu_);
 
   /// True when no lane has queued or in-flight work.
   bool IdleLocked() const REQUIRES(mu_);

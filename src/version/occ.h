@@ -1,27 +1,35 @@
 // Copyright (c) 2026 The siri Authors. MIT license.
 //
 // Optimistic concurrent branch commits (the paper's §2.1/§5.6 collaboration
-// story made multi-writer). CommitWithMerge is the retry driver over
-// BranchManager's head-CAS primitives:
+// story made multi-writer). PublishBatch is the one publish algorithm over
+// BranchManager's head-CAS primitives; it lands N ≥ 1 committers' new
+// roots on one branch:
 //
-//   1. try to CAS the branch head to a commit of the caller's new root;
-//   2. on a typed Conflict, load the head that won, find the merge base,
-//      run ImmutableIndex::Merge3 against the winner's root, write a
-//      two-parent merge commit, and CAS again — with bounded backoff.
+//   1. fold every member's delta onto the head — Merge3(acc, member, base)
+//      against the merge base of what the member built on — staging the
+//      merged pages and the members' content commits;
+//   2. CAS the head to the result: a lone member whose expectation was
+//      fresh lands its content commit itself; otherwise a merge commit
+//      whose parents are [head, content_1 … content_N] lands;
+//   3. on a typed Conflict every member has lost a race: re-fold onto the
+//      head that won, with bounded backoff.
 //
-// Every merge attempt stages its nodes (merged index pages + both commit
-// objects) in a StagingNodeStore over the caller's store, so an attempt
-// that loses the next CAS is dropped wholesale: zero store writes, zero
-// upload RPCs, zero fsyncs. Only the attempt that wins the head race pays
-// one PutMany and one Flush.
+// CommitWithMerge is the batch of one; the group-commit combiner
+// (version/group_commit.h) gathers concurrent committers into larger
+// batches. Every attempt stages its nodes in a StagingNodeStore over the
+// index's store, so an attempt that loses the CAS is dropped wholesale:
+// zero store writes, zero upload RPCs, zero fsyncs. Only the attempt that
+// wins the head race pays one PutMany and one Flush.
 
 #ifndef SIRI_VERSION_OCC_H_
 #define SIRI_VERSION_OCC_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "index/index.h"
@@ -29,40 +37,43 @@
 
 namespace siri {
 
-/// \brief Tuning and hooks for CommitWithMerge.
+/// Most committers one publish lands: its merge commit's parents are
+/// [head] + one content commit per member, and commit objects decode at
+/// most 16 parents.
+inline constexpr size_t kMaxBatch = 15;
+
+/// \brief Tuning and hooks for a publish.
 struct MergeCommitOptions {
-  /// Lost-CAS merge retries before giving up with Conflict.
+  /// Races a member may lose (each followed by a re-merge) before it
+  /// gives up with Conflict.
   int max_retries = 8;
-  /// Exponential backoff before each merge retry: attempt k sleeps
-  /// min(backoff_init_micros << k, backoff_max_micros); 0 disables.
+  /// Exponential backoff before each merge retry after the first: retry
+  /// k ≥ 1 sleeps min(backoff_init_micros << (k-1), backoff_max_micros);
+  /// 0 disables.
   uint64_t backoff_init_micros = 50;
   uint64_t backoff_max_micros = 5000;
-  /// Resolves keys changed divergently on both sides during Merge3. With
-  /// none, such a commit race fails with Status::Conflict (the paper's
-  /// "a selection strategy must be given").
+  /// Resolves keys changed divergently on both sides during Merge3; the
+  /// member being folded in is "ours". With none, such a publish fails
+  /// with Status::Conflict (the paper's "a selection strategy must be
+  /// given").
   ConflictResolver resolver;
-  /// Store the fast-path commit object ships through (default: the
-  /// index's store). Letting this differ from the index's binding is the
-  /// ForkBase deployment split: the client pays one upload RPC for its
-  /// content commit while merge retries run where \p index is bound —
-  /// typically server-side, next to the nodes they must read.
-  NodeStore* commit_store = nullptr;
-  /// Test/observability hook, called before each merge retry with the
-  /// retry ordinal (0-based) and the head that won the lost CAS. Tests
-  /// use it to drive deterministic interleavings (e.g. landing another
-  /// commit to force a second retry).
+  /// Test/observability hook, called for each race a member loses, with
+  /// the retry ordinal (0-based) and the head that won. Tests use it to
+  /// drive deterministic interleavings (e.g. landing another commit to
+  /// force a second retry).
   std::function<void(int retry, const Hash& winner)> on_retry;
 };
 
-/// \brief What CommitWithMerge did.
+/// \brief What a publish did for one committer.
 struct MergeCommitResult {
   Hash head;              ///< branch head after the call
-  Hash commit;            ///< the author's content commit (== head when the
-                          ///< first CAS won; a merge parent otherwise)
+  Hash commit;            ///< the author's content commit (== head when it
+                          ///< landed without a merge commit; a merge
+                          ///< parent otherwise)
   int cas_failures = 0;   ///< head races lost along the way
-  int merge_commits = 0;  ///< two-parent commits written (0 = clean commit)
+  int merge_commits = 0;  ///< merge commits written (0 = clean commit)
   /// The nodes this publish landed (merged index pages + commit objects),
-  /// captured on the contended paths only — a clean fast-path commit wrote
+  /// captured when a merge commit landed — a clean fast-path commit wrote
   /// nothing the author does not already hold, so it stays null. The
   /// server's publish ack ships this back to the client (the
   /// combiner-aware cache push): it is exactly the node set a losing
@@ -78,58 +89,60 @@ struct MergeCommitResult {
   bool already_applied = false;
 };
 
-/// Commits \p new_root — built on top of \p expected_head's root — to
-/// \p branch, auto-merging past concurrent winners. \p expected_head is
-/// the head the caller read before building \p new_root (nullopt when
-/// creating the branch). \p index must be bound to the store the new
-/// root's nodes live in; merge attempts stage through that same store,
-/// so with a client-side store the whole merge ships as one upload RPC.
+/// \brief One committer's publish: \p new_root, built on top of
+/// \p expected_head's root, for \p branch.
 ///
-/// First-committer-wins: the commit that lands first keeps its root
-/// untouched; the loser's retry produces a merge commit whose parents are
-/// [winner, loser's content commit] and whose root is
-/// Merge3(loser, winner, base). Returns Conflict when retries are
-/// exhausted or a key conflict has no resolver.
+/// \c index must be bound to the store the new root's nodes live in; all
+/// members of one batch must name the same branch and publish through
+/// indexes of the same structure over the same store (the batch merges
+/// through the first member's index).
+struct PublishSpec {
+  ImmutableIndex* index = nullptr;
+  std::string branch;
+  Hash new_root;
+  std::string author;
+  std::string message;
+  std::optional<Hash> expected_head;  ///< head the committer built on
+                                      ///< (nullopt: creating the branch)
+};
+
+/// One member's outcome of PublishBatch: its result, or nullopt when its
+/// delta conflicted inside a batch of ≥ 2 — possibly with another
+/// member's — and it must publish again alone.
+using PublishOutcome = std::optional<Result<MergeCommitResult>>;
+
+/// Lands \p specs (1 ≤ size ≤ kMaxBatch, one branch) with one head swing,
+/// auto-merging past concurrent winners. Outcomes are index-aligned with
+/// \p specs.
+///
+/// First-committer-wins: a commit that lands first keeps its root
+/// untouched. A member loses a race whenever the head it is merged onto
+/// is not the head it last saw (at first, the one it built on); each
+/// lost race counts in its cas_failures, fires opts.on_retry and
+/// BranchManager::RecordMergeRetry, and checks whether the member's
+/// deterministic content commit already landed (a lost-ack replay: acked
+/// as already_applied, executed never).
+/// Merge attempts stage through the first member's index, so with a
+/// client-side store the whole publish ships as one upload RPC.
+///
+/// A lone member with a fresh expectation lands its content commit as the
+/// head; a stale lone member lands the two-parent merge commit [winner,
+/// content] under its own author with message "merge: " + message; two or
+/// more members land one "group-commit" merge commit. A member fails with
+/// Conflict when its retries are exhausted or — alone — when a key
+/// conflict has no resolver; NotFound when it expected a head but the
+/// branch is gone.
+std::vector<PublishOutcome> PublishBatch(
+    BranchManager* mgr, const std::vector<const PublishSpec*>& specs,
+    const MergeCommitOptions& opts = {});
+
+/// Commits \p new_root — built on top of \p expected_head's root — to
+/// \p branch: PublishBatch with a batch of one.
 Result<MergeCommitResult> CommitWithMerge(
     BranchManager* mgr, ImmutableIndex* index, const std::string& branch,
     const Hash& new_root, const std::string& author,
     const std::string& message, const std::optional<Hash>& expected_head,
     const MergeCommitOptions& opts = {});
-
-/// Backoff before the (ordinal+1)-th merge retry, per \p opts:
-/// min(backoff_init << ordinal, backoff_max), with the shift clamped so
-/// a large retry count cannot shift past the word width (UB). Returns 0
-/// when backoff is disabled. Shared by the per-commit retry driver and
-/// the group-commit combiner so the two retry loops cannot drift.
-uint64_t MergeBackoffMicros(const MergeCommitOptions& opts, int ordinal);
-
-/// Root of the merge base between what a committer built on
-/// (\p expected_head; nullopt = built from the empty index) and
-/// \p actual_head, the commit that actually won the branch race. In the
-/// normal race the winner descends from expected_head, so the base IS the
-/// old head — IsAncestor confirms that in O(divergence) steps instead of
-/// MergeBase's O(history) ancestry collection; an administrative head
-/// reset (winner not a descendant) falls back to the full MergeBase walk.
-/// Shared by the per-commit retry driver above and the group-commit
-/// combiner (version/group_commit.h).
-Result<Hash> MergeBaseRoot(BranchManager* mgr, ImmutableIndex* index,
-                           const std::optional<Hash>& expected_head,
-                           const Hash& actual_head);
-
-/// Whether \p target — a content commit known to carry sequence
-/// \p target_sequence — is already reachable from \p head. Commit
-/// sequences strictly dominate every parent (version/commit.h), so the
-/// walk descends only through commits whose sequence exceeds the
-/// target's: O(commits landed since the target's parent), the same order
-/// as the merge-base probe, NOT O(history). This is the one exactly-once
-/// mechanism for publishes: a content commit is deterministic in
-/// (root, expected_head, author, message), so "is the replay's commit
-/// reachable from the head" decides applied-vs-absent race-free — the
-/// head CAS serializes every landing against this read. Shared by the
-/// per-commit retry driver and the group-commit combiner.
-Result<bool> CommitAlreadyApplied(BranchManager* mgr, const Hash& head,
-                                  const Hash& target,
-                                  uint64_t target_sequence);
 
 }  // namespace siri
 

@@ -288,6 +288,39 @@ TEST_F(GroupCommitTest, StaleMemberFoldsInViaMergeBase) {
   ASSERT_TRUE(bob.ok());
   ASSERT_EQ(bob->parents.size(), 1u);
   EXPECT_EQ(bob->parents[0], *c0);
+  // Bob lost one race (to alice), as he would publishing alone; carol
+  // lost none.
+  EXPECT_EQ(results[0]->cas_failures, 0);
+  EXPECT_EQ(results[1]->cas_failures, 1);
+}
+
+// A batch on a branch whose head is gone fails every member that expected
+// a head with NotFound, exactly as a lone publish does — it must not
+// bring the branch back as a merge commit with no head parent.
+TEST_F(GroupCommitTest, BatchedPublishToDeletedBranchFailsNotFound) {
+  auto c0 = mgr_->CommitOnBranch("main", base_root_, "init", "base");
+  ASSERT_TRUE(c0.ok());
+  ASSERT_TRUE(mgr_->DeleteBranch("main").ok());
+
+  CommitCombiner combiner(mgr_.get());
+  auto solo = combiner.PublishCombined(
+      {Spec("main", Put(base_root_, Keys("s", 2)), "solo", *c0)});
+  ASSERT_FALSE(solo[0].ok());
+  EXPECT_TRUE(solo[0].status().IsNotFound()) << solo[0].status().ToString();
+
+  auto results = combiner.PublishCombined({
+      Spec("main", Put(base_root_, Keys("a", 2)), "alice", *c0),
+      Spec("main", Put(base_root_, Keys("b", 2)), "bob", *c0),
+  });
+  ASSERT_EQ(results.size(), 2u);
+  for (auto& r : results) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsNotFound()) << r.status().ToString();
+    EXPECT_EQ(r.status().ToString(), solo[0].status().ToString());
+  }
+  EXPECT_TRUE(mgr_->Head("main").status().IsNotFound());
+  const auto s = combiner.stats();
+  EXPECT_EQ(s.solo_commits + s.combined_commits + s.fallbacks, 0u);
 }
 
 // A lost-ack replay arriving in a LATER batch: its expectation is stale
